@@ -1,6 +1,6 @@
 // Networked serving throughput (DESIGN.md §14): closed-loop clients
-// drive the estimator server over loopback TCP, sweeping client count
-// and micro-batch window, in two request shapes — "single" (one
+// drive the estimator server over loopback TCP, sweeping client count,
+// in two request shapes — "single" (one
 // Estimate frame per query, the per-request path) and "batch" (64
 // queries per EstimateBatch frame). Every config pushes the same total
 // query count, so elapsed times compare directly and qps isolates the
@@ -36,11 +36,10 @@ struct RunResult {
 /// or 64-query batch frames. Wall clock starts once every client is
 /// connected, so connect cost never pollutes the throughput number.
 RunResult RunConfig(OnlineEstimator* est, const std::vector<Query>& pool,
-                    const std::string& mode, int clients, size_t window_us,
+                    const std::string& mode, int clients,
                     size_t per_client_queries) {
   EstimatorServer::Options opts;
   opts.port = 0;
-  opts.batch_window_us = window_us;
   auto server = EstimatorServer::Start(est, opts);
   SEL_CHECK_MSG(server.ok(), "%s", server.status().ToString().c_str());
 
@@ -137,35 +136,30 @@ int main() {
       kFrameQueries;
   const int rounds = 2;
 
-  TablePrinter t({"mode", "clients", "window_us", "queries", "elapsed_ms",
-                  "qps"});
+  TablePrinter t({"mode", "clients", "queries", "elapsed_ms", "qps"});
   CsvWriter csv("bench_server_throughput.csv");
-  csv.WriteRow(std::vector<std::string>{"mode", "clients", "window_us",
-                                        "queries", "elapsed_ms", "qps"});
+  csv.WriteRow(std::vector<std::string>{"mode", "clients", "queries",
+                                        "elapsed_ms", "qps"});
 
   struct Cell {
     std::string mode;
     int clients;
-    size_t window_us;
     double best_qps = 0.0;
     double best_ms = 0.0;
     size_t queries = 0;
   };
   std::vector<Cell> cells;
   for (int clients : {1, 4}) {
-    for (size_t window : {size_t{0}, size_t{100}}) {
-      cells.push_back({"single", clients, window});
-      cells.push_back({"batch", clients, window});
-    }
+    cells.push_back({"single", clients});
+    cells.push_back({"batch", clients});
   }
 
   for (int r = 0; r < rounds; ++r) {
     for (Cell& cell : cells) {
       const RunResult run = RunConfig(est.value().get(), pool, cell.mode,
-                                      cell.clients, cell.window_us,
-                                      per_client);
-      SEL_CHECK_MSG(run.ok, "client failure in %s clients=%d window=%zu",
-                    cell.mode.c_str(), cell.clients, cell.window_us);
+                                      cell.clients, per_client);
+      SEL_CHECK_MSG(run.ok, "client failure in %s clients=%d",
+                    cell.mode.c_str(), cell.clients);
       const double qps = run.elapsed_ms > 0.0
                              ? 1e3 * static_cast<double>(run.queries) /
                                    run.elapsed_ms
@@ -180,21 +174,19 @@ int main() {
 
   for (const Cell& cell : cells) {
     t.AddRow({cell.mode, std::to_string(cell.clients),
-              std::to_string(cell.window_us), std::to_string(cell.queries),
-              FormatDouble(cell.best_ms, 2), FormatDouble(cell.best_qps, 0)});
+              std::to_string(cell.queries), FormatDouble(cell.best_ms, 2),
+              FormatDouble(cell.best_qps, 0)});
     csv.WriteRow(std::vector<std::string>{
-        cell.mode, std::to_string(cell.clients),
-        std::to_string(cell.window_us), std::to_string(cell.queries),
+        cell.mode, std::to_string(cell.clients), std::to_string(cell.queries),
         FormatDouble(cell.best_ms), FormatDouble(cell.best_qps)});
   }
   csv.Close();
   t.Print();
   std::printf("\nExpected: the batch shape amortizes one frame round trip "
               "over %zu queries, so its qps should clear the single shape "
-              "by well over the CI guard's 2x floor; a wider micro-batch "
-              "window helps the multi-client single-frame case by "
-              "coalescing concurrent requests into one EstimateMany "
-              "dispatch.\n",
+              "by well over the CI guard's 2x floor; with several clients, "
+              "single frames arriving while a batch computes coalesce into "
+              "the next EstimateMany dispatch.\n",
               kFrameQueries);
   return 0;
 }

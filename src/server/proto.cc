@@ -1,6 +1,7 @@
 #include "server/proto.h"
 
 #include <errno.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <cmath>
@@ -337,7 +338,10 @@ Status WriteFull(int fd, const void* data, size_t n) {
   const char* p = static_cast<const char*>(data);
   size_t off = 0;
   while (off < n) {
-    const ssize_t w = ::write(fd, p + off, n - off);
+    // send(MSG_NOSIGNAL), not write(): a peer that hung up must cost an
+    // EPIPE error on this connection, not a SIGPIPE that kills the
+    // process.
+    const ssize_t w = ::send(fd, p + off, n - off, MSG_NOSIGNAL);
     if (w < 0) {
       if (errno == EINTR) continue;
       return Status::IOError(std::string("socket write failed: ") +

@@ -166,8 +166,9 @@ Result<Query> DecodeQuery(WireReader* reader);
 
 // --- Blocking socket IO (fault sites net.read / net.write). ---
 
-/// Writes all `n` bytes to `fd`. IOError on any short write or socket
-/// error (fault site `net.write` injects one).
+/// Writes all `n` bytes to socket `fd`. IOError on any short write or
+/// socket error, including a peer that already hung up (never SIGPIPE);
+/// fault site `net.write` injects one.
 Status WriteFull(int fd, const void* data, size_t n);
 
 /// Reads exactly `n` bytes. NotFound("connection closed") on clean EOF

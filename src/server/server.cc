@@ -34,8 +34,6 @@ double MicrosSince(SteadyClock::time_point start) {
 EstimatorServer::Options EstimatorServer::Options::FromEnv() {
   Options o;
   o.port = static_cast<int>(GetEnvInt("SEL_SERVE_PORT", o.port));
-  o.batch_window_us =
-      GetEnvInt("SEL_SERVE_BATCH_WINDOW_US", o.batch_window_us);
   o.max_pending = static_cast<size_t>(std::max(
       1L, GetEnvInt("SEL_SERVE_MAX_PENDING",
                     static_cast<long>(o.max_pending))));
@@ -47,9 +45,6 @@ EstimatorServer::Options EstimatorServer::Options::FromEnv() {
 Status EstimatorServer::Options::Validate() const {
   if (port < 0 || port > 65535) {
     return Status::InvalidArgument("server port must lie in [0, 65535]");
-  }
-  if (batch_window_us < 0) {
-    return Status::InvalidArgument("batch_window_us must be >= 0");
   }
   if (request_deadline_ms < 0) {
     return Status::InvalidArgument("request_deadline_ms must be >= 0");
@@ -80,7 +75,6 @@ Result<std::unique_ptr<EstimatorServer>> EstimatorServer::Start(
       new EstimatorServer(estimator, options));
   SEL_RETURN_IF_ERROR(server->Listen());
   server->acceptor_ = std::thread([s = server.get()] { s->AcceptLoop(); });
-  server->batcher_ = std::thread([s = server.get()] { s->BatchLoop(); });
   return server;
 }
 
@@ -162,9 +156,20 @@ void EstimatorServer::AcceptLoop() {
       return;
     }
     if (fd < 0) {
-      if (errno == EINTR) continue;
-      // The listener died underneath us (or Shutdown raced): stop.
-      return;
+      // Only a dead listener ends the acceptor. Everything else —
+      // ECONNABORTED, fd or buffer exhaustion, the pending network
+      // errors Linux reports through accept() — costs at most the one
+      // connection; on exhaustion, back off so the loop does not spin
+      // while the process has no fd to spare.
+      const int err = errno;
+      if (err == EBADF || err == EINVAL || err == ENOTSOCK) return;
+      if (err == EINTR) continue;
+      SEL_METRIC_COUNTER_INC("server.net_errors_total");
+      if (err == EMFILE || err == ENFILE || err == ENOBUFS ||
+          err == ENOMEM) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      }
+      continue;
     }
     if (SEL_FAULT_POINT("net.accept")) {
       // An injected accept failure costs one connection, never the
@@ -301,16 +306,15 @@ bool EstimatorServer::HandleEstimate(int fd, const Frame& frame,
 
 Frame EstimatorServer::AdmitAndWait(std::vector<Query> queries,
                                     bool batch) {
-  auto request = std::make_unique<PendingRequest>();
-  request->queries = std::move(queries);
-  request->deadline = options_.request_deadline_ms > 0
-                          ? Deadline::AfterMillis(options_.request_deadline_ms)
-                          : Deadline::Infinite();
-  request->enqueued_at = SteadyClock::now();
-  std::future<BatchOutcome> future = request->promise.get_future();
-  const auto enqueued_at = request->enqueued_at;
+  PendingRequest request;
+  request.queries = std::move(queries);
+  request.deadline = options_.request_deadline_ms > 0
+                         ? Deadline::AfterMillis(options_.request_deadline_ms)
+                         : Deadline::Infinite();
+  request.enqueued_at = SteadyClock::now();
+  std::vector<PendingRequest*> taken;
   {
-    std::lock_guard<std::mutex> lock(queue_mu_);
+    std::unique_lock<std::mutex> lock(queue_mu_);
     if (stopping_.load(std::memory_order_acquire)) {
       return MakeErrorFrame(WireStatus::kUnavailable, "server draining");
     }
@@ -321,26 +325,66 @@ Frame EstimatorServer::AdmitAndWait(std::vector<Query> queries,
       return MakeErrorFrame(WireStatus::kResourceExhausted,
                             "pending request queue is full");
     }
-    pending_.push_back(std::move(request));
+    pending_.push_back(&request);
     SEL_METRIC_GAUGE_SET("server.queue_depth",
                          static_cast<int64_t>(pending_.size()));
+    if (!leader_active_) {
+      // No batch is running, so the queue was empty and this request is
+      // at its front: lead.
+      leader_active_ = true;
+      request.leader = true;
+    }
+    request.cv.wait(lock, [&] { return request.done || request.leader; });
+    if (!request.done) {
+      // Leading: our own request is the front. Take everything queued
+      // up to the batch bound; later arrivals wait for the next leader.
+      size_t total = 0;
+      while (!pending_.empty()) {
+        const size_t q = pending_.front()->queries.size();
+        if (!taken.empty() && total + q > options_.max_batch_queries) break;
+        total += q;
+        taken.push_back(pending_.front());
+        pending_.pop_front();
+      }
+      SEL_METRIC_GAUGE_SET("server.queue_depth",
+                           static_cast<int64_t>(pending_.size()));
+    }
   }
-  queue_cv_.notify_all();
-  // Every admitted request is fulfilled — the batcher drains the queue
-  // before exiting — so this wait always terminates.
-  BatchOutcome outcome = future.get();
-  SEL_METRIC_HIST_RECORD("server.request_us", MicrosSince(enqueued_at));
-  if (outcome.status != WireStatus::kOk) {
-    return MakeErrorFrame(outcome.status, outcome.message);
+  if (!taken.empty()) {
+    if (SEL_FAULT_POINT("server.batch_stall")) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    }
+    ExecuteBatch(taken);
+    std::lock_guard<std::mutex> lock(queue_mu_);
+    // Notify while holding the lock: a follower's request (and its cv)
+    // lives on its reader's stack, which may unwind as soon as it can
+    // observe `done`.
+    for (PendingRequest* r : taken) {
+      r->done = true;
+      r->cv.notify_one();
+    }
+    // Hand off, keeping the invariant: the oldest queued request leads
+    // the next batch, or nobody leads because nothing is queued.
+    if (pending_.empty()) {
+      leader_active_ = false;
+    } else {
+      pending_.front()->leader = true;
+      pending_.front()->cv.notify_one();
+    }
+  }
+  SEL_METRIC_HIST_RECORD("server.request_us",
+                         MicrosSince(request.enqueued_at));
+  if (request.status != WireStatus::kOk) {
+    return MakeErrorFrame(request.status, request.message);
   }
   Frame response;
   response.type = batch ? FrameType::kEstimateBatchResponse
                         : FrameType::kEstimateResponse;
   if (batch) {
     PutU32(&response.payload,
-           static_cast<uint32_t>(outcome.values.size()));
+           static_cast<uint32_t>(request.values.size()));
   }
-  for (double v : outcome.values) PutF64(&response.payload, v);
+  for (double v : request.values) PutF64(&response.payload, v);
   return response;
 }
 
@@ -377,73 +421,21 @@ bool EstimatorServer::HandleStats(int fd) {
   return WriteFrame(fd, response).ok();
 }
 
-void EstimatorServer::BatchLoop() {
-  for (;;) {
-    std::vector<std::unique_ptr<PendingRequest>> batch;
-    {
-      std::unique_lock<std::mutex> lock(queue_mu_);
-      queue_cv_.wait(lock, [this] {
-        return !pending_.empty() ||
-               stopping_.load(std::memory_order_acquire);
-      });
-      if (pending_.empty()) {
-        // stopping_ and drained: every admitted request was answered.
-        return;
-      }
-      size_t total = 0;
-      bool full = false;
-      auto take_pending = [&] {
-        while (!pending_.empty()) {
-          const size_t q = pending_.front()->queries.size();
-          if (!batch.empty() && total + q > options_.max_batch_queries) {
-            full = true;
-            return;
-          }
-          total += q;
-          batch.push_back(std::move(pending_.front()));
-          pending_.pop_front();
-        }
-      };
-      take_pending();
-      // Micro-batching: linger up to the window for more arrivals, so
-      // concurrent clients coalesce into one EstimateMany dispatch.
-      const auto window_end =
-          SteadyClock::now() +
-          std::chrono::microseconds(options_.batch_window_us);
-      while (!full && options_.batch_window_us > 0 &&
-             !stopping_.load(std::memory_order_acquire)) {
-        if (queue_cv_.wait_until(lock, window_end) ==
-            std::cv_status::timeout) {
-          take_pending();
-          break;
-        }
-        take_pending();
-      }
-      SEL_METRIC_GAUGE_SET("server.queue_depth",
-                           static_cast<int64_t>(pending_.size()));
-    }
-    ExecuteBatch(std::move(batch));
-  }
-}
-
 void EstimatorServer::ExecuteBatch(
-    std::vector<std::unique_ptr<PendingRequest>> batch) {
-  if (batch.empty()) return;
+    const std::vector<PendingRequest*>& batch) {
   SEL_TRACE_SPAN("server.batch");
   // A request whose budget lapsed while queued is answered
   // DEADLINE_EXCEEDED instead of spending compute on an answer nobody
   // is waiting for.
   std::vector<PendingRequest*> live;
   live.reserve(batch.size());
-  for (auto& request : batch) {
+  for (PendingRequest* request : batch) {
     if (request->deadline.expired()) {
       SEL_METRIC_COUNTER_INC("server.deadline_expired_total");
-      BatchOutcome outcome;
-      outcome.status = WireStatus::kDeadlineExceeded;
-      outcome.message = "request deadline expired before execution";
-      request->promise.set_value(std::move(outcome));
+      request->status = WireStatus::kDeadlineExceeded;
+      request->message = "request deadline expired before execution";
     } else {
-      live.push_back(request.get());
+      live.push_back(request);
     }
   }
   if (live.empty()) return;
@@ -478,12 +470,10 @@ void EstimatorServer::ExecuteBatch(
   }
   size_t offset = 0;
   for (PendingRequest* r : live) {
-    BatchOutcome outcome;
-    outcome.values.assign(out.begin() + static_cast<long>(offset),
-                          out.begin() +
-                              static_cast<long>(offset + r->queries.size()));
+    r->values.assign(out.begin() + static_cast<long>(offset),
+                     out.begin() +
+                         static_cast<long>(offset + r->queries.size()));
     offset += r->queries.size();
-    r->promise.set_value(std::move(outcome));
   }
 }
 
@@ -492,7 +482,6 @@ void EstimatorServer::Shutdown() {
   // blocks until the first finished, then finds everything joined.
   std::lock_guard<std::mutex> shutdown_lock(shutdown_mu_);
   stopping_.store(true, std::memory_order_release);
-  queue_cv_.notify_all();
   if (listen_fd_ >= 0) {
     // Wakes the blocking accept(); the acceptor sees stopping_ and
     // exits.
@@ -501,7 +490,9 @@ void EstimatorServer::Shutdown() {
   if (acceptor_.joinable()) acceptor_.join();
   {
     // EOF every open connection: readers finish the frame (and request)
-    // they are on, then see a clean close — the in-flight drain.
+    // they are on, then see a clean close — the in-flight drain. A
+    // reader waiting on a queued request returns only once it is
+    // answered, which the leader invariant guarantees.
     std::lock_guard<std::mutex> lock(conn_mu_);
     for (auto& conn : connections_) {
       if (!conn->done.load(std::memory_order_acquire)) {
@@ -517,10 +508,6 @@ void EstimatorServer::Shutdown() {
     }
     connections_.clear();
   }
-  // Connections are gone, so no new admissions; the batcher exits once
-  // the queue is empty — after answering everything already admitted.
-  queue_cv_.notify_all();
-  if (batcher_.joinable()) batcher_.join();
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
     listen_fd_ = -1;

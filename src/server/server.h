@@ -3,14 +3,20 @@
 // EstimatorServer hosts one OnlineEstimator behind the length-prefixed
 // binary protocol of server/proto.h: an acceptor thread hands each TCP
 // connection to its own reader thread (connection I/O is blocking and
-// cheap), while all estimation work is funneled through a bounded
-// pending-request queue into a micro-batcher that coalesces requests
-// arriving within `batch_window_us` into ONE CompiledPlan::EstimateMany
-// call — the batch kernel then fans out over the shared ThreadPool, so
-// compute parallelism lives where it always has. Admission control is
-// load-shedding, not queueing: when the pending queue is full, the
-// request is answered immediately with a RESOURCE_EXHAUSTED frame and
-// dropped, so overload degrades throughput but never memory.
+// cheap). Estimation uses leader/follower batching over a bounded
+// pending-request queue: the reader that admits a request while no batch
+// is running becomes the leader, takes everything queued (its own
+// request first, up to `max_batch_queries`), runs it as ONE
+// CompiledPlan::EstimateMany call over the shared ThreadPool, answers
+// the followers in that batch, and hands the leader role to the oldest
+// request still queued. A lone request never crosses a thread, and
+// requests arriving while a batch computes coalesce into the next one,
+// so batches grow with load without a timer. Each leader runs exactly
+// one batch, so no reader answers its own client later than one batch
+// after its request is served. Admission control is load-shedding, not
+// queueing: when the pending queue is full, the request is answered
+// immediately with a RESOURCE_EXHAUSTED frame and dropped, so overload
+// degrades throughput but never memory.
 //
 // Serving stays uninterrupted across retrains: every batch snapshots
 // the estimator's published ServingState (constant-time shared_ptr
@@ -28,9 +34,11 @@
 //
 // Instrumentation: server.requests_total / server.batch_size /
 // server.queue_depth / server.overload_total / server.request_us /
-// server.connections plus the net.accept/net.read/net.write fault sites
-// (a fault-injected connection failure closes that connection, never
-// the server).
+// server.connections / server.net_errors_total plus the
+// net.accept/net.read/net.write fault sites (a fault-injected
+// connection failure closes that connection, never the server) and
+// server.batch_stall (the leader sleeps before dispatching, so tests
+// can hold requests queued behind a running batch).
 #ifndef SEL_SERVER_SERVER_H_
 #define SEL_SERVER_SERVER_H_
 
@@ -39,7 +47,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <future>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -63,11 +70,6 @@ class EstimatorServer {
     /// Port to bind on 127.0.0.1; 0 asks the kernel for an ephemeral
     /// port (query the actual one via port()).
     int port = 0;
-    /// Micro-batch coalescing window: after the first pending request is
-    /// picked up, the batcher waits up to this long for more before
-    /// dispatching one EstimateMany over everything collected. 0 serves
-    /// strictly request-at-a-time.
-    long batch_window_us = 100;
     /// Bound of the pending-request queue; an admission attempt beyond
     /// it is answered RESOURCE_EXHAUSTED immediately (load shedding).
     size_t max_pending = 256;
@@ -81,15 +83,14 @@ class EstimatorServer {
     /// and closed.
     size_t max_connections = 256;
 
-    /// Reads SEL_SERVE_PORT / SEL_SERVE_BATCH_WINDOW_US /
-    /// SEL_SERVE_MAX_PENDING / SEL_SERVE_REQUEST_DEADLINE_MS over the
-    /// defaults above.
+    /// Reads SEL_SERVE_PORT / SEL_SERVE_MAX_PENDING /
+    /// SEL_SERVE_REQUEST_DEADLINE_MS over the defaults above.
     static Options FromEnv();
 
     Status Validate() const;
   };
 
-  /// Binds, listens, and starts the acceptor + batcher threads.
+  /// Binds, listens, and starts the acceptor thread.
   /// `estimator` must outlive the server and is shared: Feedback frames
   /// mutate it (serialized by the server), estimates snapshot it.
   static Result<std::unique_ptr<EstimatorServer>> Start(
@@ -115,21 +116,23 @@ class EstimatorServer {
   size_t active_connections() const;
 
  private:
-  /// What the batcher resolves an admitted request to. Carries a wire
-  /// status (not a library Status) so deadline expiry maps onto its own
-  /// DEADLINE_EXCEEDED frame.
-  struct BatchOutcome {
-    WireStatus status = WireStatus::kOk;
-    std::string message;
-    std::vector<double> values;
-  };
-
-  /// One admitted Estimate/EstimateBatch request waiting for a batch.
+  /// One admitted Estimate/EstimateBatch request, owned by the stack of
+  /// the reader that admitted it; that reader returns only once `done`.
   struct PendingRequest {
     std::vector<Query> queries;
     Deadline deadline;                  ///< armed iff request_deadline_ms > 0
     std::chrono::steady_clock::time_point enqueued_at;
-    std::promise<BatchOutcome> promise;
+    /// The outcome, written by the leader of the request's batch before
+    /// it sets `done`. A wire status (not a library Status), so deadline
+    /// expiry maps onto its own DEADLINE_EXCEEDED frame.
+    WireStatus status = WireStatus::kOk;
+    std::string message;
+    std::vector<double> values;
+    /// Guarded by queue_mu_; `cv` wakes the admitting reader when either
+    /// flips.
+    bool done = false;
+    bool leader = false;  ///< this reader must run the next batch
+    std::condition_variable cv;
   };
 
   /// One live connection and its reader thread.
@@ -144,7 +147,6 @@ class EstimatorServer {
   Status Listen();
   void AcceptLoop();
   void ConnectionLoop(Connection* conn);
-  void BatchLoop();
 
   /// Handles one decoded request frame on `fd`. Returns false when the
   /// connection should close (write failure).
@@ -153,13 +155,15 @@ class EstimatorServer {
   bool HandleFeedback(int fd, const Frame& frame);
   bool HandleStats(int fd);
 
-  /// Admits a decoded query set into the pending queue, or sheds load.
-  /// Returns the response frame to write.
+  /// Admits a decoded query set into the pending queue, or sheds load;
+  /// then either waits for a leader to answer it or leads one batch
+  /// itself. Returns the response frame to write.
   Frame AdmitAndWait(std::vector<Query> queries, bool batch);
 
-  /// Runs one collected batch: snapshot, (deadline-scoped) estimate,
-  /// fulfill promises.
-  void ExecuteBatch(std::vector<std::unique_ptr<PendingRequest>> batch);
+  /// Runs one taken batch: deadline triage, snapshot, (deadline-scoped)
+  /// estimate, outcomes written into each request. Called without
+  /// queue_mu_; the requests are the leader's until it marks them done.
+  void ExecuteBatch(const std::vector<PendingRequest*>& batch);
 
   /// Reaps finished connection threads (joins those marked done).
   void ReapConnections();
@@ -172,14 +176,18 @@ class EstimatorServer {
   std::atomic<bool> stopping_{false};
   std::mutex shutdown_mu_;  ///< serializes Shutdown() callers (joins)
   std::thread acceptor_;
-  std::thread batcher_;
 
   mutable std::mutex conn_mu_;
   std::list<std::unique_ptr<Connection>> connections_;
 
+  /// Invariant: `pending_` non-empty ⇒ exactly one leader exists (a
+  /// reader running a batch, or the queued request flagged `leader`).
+  /// Liveness rests on it — every queued request is eventually taken —
+  /// and so does graceful drain: Shutdown() joins the readers, each of
+  /// which returns only once its admitted request is answered.
   std::mutex queue_mu_;
-  std::condition_variable queue_cv_;
-  std::deque<std::unique_ptr<PendingRequest>> pending_;
+  std::deque<PendingRequest*> pending_;
+  bool leader_active_ = false;  ///< a leader exists
 
   /// Serializes Feedback (and the retrains it triggers); estimates
   /// never take it.

@@ -5,6 +5,9 @@
 // them with it.
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -209,6 +212,19 @@ TEST(WireStatusMapping, RoundTripsThroughStatusCodes) {
     EXPECT_NE(std::string(WireStatusName(static_cast<WireStatus>(s))),
               "");
   }
+}
+
+// A peer that hung up before its response is written must cost that
+// write an IOError, not raise SIGPIPE (whose default action would kill
+// the whole serving process).
+TEST(SocketIo, WriteToClosedPeerIsIOErrorNotSigpipe) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  ::close(fds[1]);
+  const char byte = 'x';
+  const Status st = WriteFull(fds[0], &byte, 1);
+  EXPECT_EQ(st.code(), StatusCode::kIOError) << st.ToString();
+  ::close(fds[0]);
 }
 
 }  // namespace

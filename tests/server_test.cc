@@ -9,6 +9,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -56,9 +57,33 @@ struct Fixture {
 
 EstimatorServer::Options QuietOptions() {
   EstimatorServer::Options opts;
-  opts.port = 0;              // ephemeral: tests never collide
-  opts.batch_window_us = 100;
+  opts.port = 0;  // ephemeral: tests never collide
   return opts;
+}
+
+struct FaultGuard {
+  ~FaultGuard() { FaultRegistry::Global().DisarmAll(); }
+};
+
+/// Arms server.batch_stall to fire on its next hit, so the next batch's
+/// leader sleeps before dispatching while later requests queue behind
+/// it. Returns the site's fire count before arming (for AwaitStall).
+uint64_t StallNextBatch() {
+  FaultRegistry& faults = FaultRegistry::Global();
+  const uint64_t fires = faults.FireCount("server.batch_stall");
+  faults.Arm("server.batch_stall", faults.HitCount("server.batch_stall") + 1);
+  return fires;
+}
+
+/// Waits (20s cap) until the stall armed by StallNextBatch has fired.
+bool AwaitStall(uint64_t fires_before) {
+  const auto cap = std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (FaultRegistry::Global().FireCount("server.batch_stall") <=
+         fires_before) {
+    if (std::chrono::steady_clock::now() > cap) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
 }
 
 Result<std::unique_ptr<EstimatorClient>> Dial(const EstimatorServer& server) {
@@ -111,23 +136,17 @@ TEST(ServerLifecycle, OptionsValidateRejectsBadValues) {
   opts = EstimatorServer::Options();
   opts.port = 70000;
   EXPECT_FALSE(opts.Validate().ok());
-  opts = EstimatorServer::Options();
-  opts.batch_window_us = -1;
-  EXPECT_FALSE(opts.Validate().ok());
 }
 
 TEST(ServerLifecycle, OptionsFromEnvReadsKnobs) {
   ::setenv("SEL_SERVE_PORT", "12345", 1);
-  ::setenv("SEL_SERVE_BATCH_WINDOW_US", "777", 1);
   ::setenv("SEL_SERVE_MAX_PENDING", "9", 1);
   ::setenv("SEL_SERVE_REQUEST_DEADLINE_MS", "250", 1);
   const EstimatorServer::Options opts = EstimatorServer::Options::FromEnv();
   ::unsetenv("SEL_SERVE_PORT");
-  ::unsetenv("SEL_SERVE_BATCH_WINDOW_US");
   ::unsetenv("SEL_SERVE_MAX_PENDING");
   ::unsetenv("SEL_SERVE_REQUEST_DEADLINE_MS");
   EXPECT_EQ(opts.port, 12345);
-  EXPECT_EQ(opts.batch_window_us, 777);
   EXPECT_EQ(opts.max_pending, 9u);
   EXPECT_EQ(opts.request_deadline_ms, 250);
 }
@@ -251,6 +270,73 @@ TEST(ServerConcurrency, MultiClientHammerBitIdentical) {
   EXPECT_EQ(failures.load(), 0);
 }
 
+// Concurrent single-query frames still coalesce: requests that arrive
+// while a batch computes ride the next batch together, so the server
+// runs fewer batches than it answers requests — serving has not
+// degenerated into request-at-a-time — and every answer stays bit
+// identical to the in-process plan.
+TEST(ServerConcurrency, ConcurrentSinglesCoalesceIntoFewerBatches) {
+  Fixture fx;
+  auto est = fx.MakeTrained();
+  const auto plan = est->serving_plan();
+  ASSERT_NE(plan, nullptr);
+  auto server = EstimatorServer::Start(est.get(), QuietOptions());
+  ASSERT_TRUE(server.ok());
+  struct MetricsOn {
+    const bool was = MetricsEnabled();
+    MetricsOn() {
+      SetMetricsEnabled(true);
+      MetricsRegistry::Global().Reset();
+    }
+    ~MetricsOn() { SetMetricsEnabled(was); }
+  } metrics_on;
+
+  constexpr int kClients = 8;
+  constexpr int kRequests = 50;
+  std::vector<Workload> probes;
+  for (int t = 0; t < kClients; ++t) {
+    probes.push_back(fx.MakeWorkload(kRequests, 2000 + t));
+  }
+  std::atomic<int> mismatches{0};
+  std::atomic<int> failures{0};
+  uint64_t sent = 0;
+  uint64_t batches = 0;
+  const auto cap = std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  // Rounds of the hammer until a batch is seen to carry more than one
+  // request (practically the first round).
+  do {
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kClients; ++t) {
+      threads.emplace_back([&, t] {
+        auto client = Dial(*server.value());
+        if (!client.ok()) {
+          failures.fetch_add(1);
+          return;
+        }
+        for (const auto& z : probes[t]) {
+          double direct = 0.0;
+          plan->EstimateMany(&z.query, 1, &direct);
+          auto r = client.value()->Estimate(z.query);
+          if (!r.ok() ||
+              std::memcmp(&r.value(), &direct, sizeof(double)) != 0) {
+            (r.ok() ? mismatches : failures).fetch_add(1);
+          }
+        }
+      });
+    }
+    for (auto& t : threads) t.join();
+    sent += kClients * kRequests;
+    const MetricsSnapshot snap = MetricsRegistry::Global().Snapshot();
+    const HistogramSnapshot* h = snap.FindHistogram("server.batch_size");
+    batches = h == nullptr ? 0 : h->count;
+  } while (batches >= sent && failures.load() == 0 &&
+           std::chrono::steady_clock::now() < cap);
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_GT(batches, 0u);
+  EXPECT_LT(batches, sent) << "every request ran as its own batch";
+}
+
 // Serving keeps answering while feedback frames drive retrains (and the
 // gate→publish pipeline) underneath; every concurrent answer stays a
 // valid selectivity.
@@ -328,7 +414,6 @@ TEST(ServerOverload, ShedsLoadWithResourceExhausted) {
   EstimatorServer::Options opts = QuietOptions();
   opts.max_pending = 1;
   opts.max_batch_queries = 1;  // one query per dispatch: backlog builds
-  opts.batch_window_us = 0;
   auto server = EstimatorServer::Start(est.get(), opts);
   ASSERT_TRUE(server.ok());
 
@@ -371,23 +456,38 @@ TEST(ServerOverload, ShedsLoadWithResourceExhausted) {
 }
 
 // A request whose deadline lapses while it waits for its batch is
-// answered DEADLINE_EXCEEDED instead of computed.
+// answered DEADLINE_EXCEEDED instead of computed: A's leader stalls
+// 200ms before dispatching, B queues behind it, and both 20ms budgets
+// have lapsed by the time their batches' triage runs.
 TEST(ServerDeadline, QueuedPastBudgetAnswersDeadlineExceeded) {
   Fixture fx;
   auto est = fx.MakeTrained();
   EstimatorServer::Options opts = QuietOptions();
   opts.request_deadline_ms = 20;
-  opts.batch_window_us = 200000;  // 200ms linger >> 20ms budget
   auto server = EstimatorServer::Start(est.get(), opts);
   ASSERT_TRUE(server.ok());
-  auto client = Dial(*server.value());
-  ASSERT_TRUE(client.ok());
+  auto a = Dial(*server.value());
+  auto b = Dial(*server.value());
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
   const Query probe = fx.MakeWorkload(1, 1).front().query;
-  auto r = client.value()->Estimate(probe);
+  FaultGuard guard;
+  const uint64_t fires = StallNextBatch();
+  std::string a_outcome;
+  std::thread first([&] {
+    auto r = a.value()->Estimate(probe);
+    a_outcome = r.ok() ? "OK" : r.status().message();
+  });
+  const bool stalled = AwaitStall(fires);
+  auto r = b.value()->Estimate(probe);
+  first.join();
+  ASSERT_TRUE(stalled) << "server.batch_stall never fired";
   ASSERT_FALSE(r.ok());
   EXPECT_NE(r.status().message().find("DEADLINE_EXCEEDED"),
             std::string::npos)
       << r.status().ToString();
+  EXPECT_NE(a_outcome.find("DEADLINE_EXCEEDED"), std::string::npos)
+      << a_outcome;
 }
 
 TEST(ServerMalformed, BadMagicGetsErrorThenClose) {
@@ -504,10 +604,6 @@ TEST(ServerMalformed, DimensionMismatchRejected) {
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
 }
 
-struct FaultGuard {
-  ~FaultGuard() { FaultRegistry::Global().DisarmAll(); }
-};
-
 // An injected read/write/accept failure costs one connection, never the
 // server: a fresh client still round-trips after the blast.
 TEST(ServerFaults, InjectedNetReadFailureSurvives) {
@@ -568,36 +664,38 @@ TEST(ServerFaults, InjectedAcceptFailureDropsOneConnection) {
   EXPECT_TRUE(fresh.value()->Ping().ok());
 }
 
-// Graceful drain: Shutdown answers the in-flight request (or refuses it
-// cleanly) and the client sees a definite outcome, never a hang.
+// Graceful drain: a request admitted before Shutdown is answered, bit
+// for bit, even when Shutdown lands while its batch's leader is stalled
+// — the client never sees a hang or a dropped connection.
 TEST(ServerShutdown, DrainAnswersInFlightRequests) {
   Fixture fx;
   auto est = fx.MakeTrained();
-  EstimatorServer::Options opts = QuietOptions();
-  opts.batch_window_us = 50000;  // 50ms linger: requests are in flight
-  auto server = EstimatorServer::Start(est.get(), opts);
+  auto server = EstimatorServer::Start(est.get(), QuietOptions());
   ASSERT_TRUE(server.ok());
   const auto plan = est->serving_plan();
   ASSERT_NE(plan, nullptr);
+  auto client = Dial(*server.value());
+  ASSERT_TRUE(client.ok());
 
   const Query probe = fx.MakeWorkload(1, 1).front().query;
-  std::atomic<int> definite{0};
+  FaultGuard guard;
+  const uint64_t fires = StallNextBatch();
+  bool answered = false;
+  double remote = 0.0;
   std::thread requester([&] {
-    auto client = Dial(*server.value());
-    if (!client.ok()) return;
     auto r = client.value()->Estimate(probe);
-    if (r.ok()) {
-      double direct = 0.0;
-      plan->EstimateMany(&probe, 1, &direct);
-      EXPECT_EQ(std::memcmp(&r.value(), &direct, sizeof(double)), 0);
-    }
-    definite.fetch_add(1);  // OK or error — either is a definite answer
+    answered = r.ok();
+    if (r.ok()) remote = r.value();
   });
-  // Let the request land in the queue, then drain underneath it.
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  // Drain underneath the admitted, stalled request.
+  const bool stalled = AwaitStall(fires);
   server.value()->Shutdown();
   requester.join();
-  EXPECT_EQ(definite.load(), 1);
+  EXPECT_TRUE(stalled) << "server.batch_stall never fired";
+  ASSERT_TRUE(answered);
+  double direct = 0.0;
+  plan->EstimateMany(&probe, 1, &direct);
+  EXPECT_EQ(std::memcmp(&remote, &direct, sizeof(double)), 0);
 }
 
 TEST(ServerShutdown, NewConnectionsFailAfterShutdown) {
@@ -613,6 +711,74 @@ TEST(ServerShutdown, NewConnectionsFailAfterShutdown) {
     // backlog; the round trip must fail regardless.
     EXPECT_FALSE(client.value()->Ping().ok());
   }
+}
+
+// Child body of the fd-exhaustion test: exit code 0 iff the acceptor
+// rode out EMFILE and kept serving.
+int ServeThroughFdExhaustion() {
+  SetMetricsEnabled(true);
+  Fixture fx;
+  auto est = fx.MakeTrained();
+  auto server = EstimatorServer::Start(est.get(), QuietOptions());
+  if (!server.ok()) return 1;
+  // Made before fds run out: connect() needs no new fd, but the
+  // acceptor's accept() does.
+  const int waiting = ::socket(AF_INET, SOCK_STREAM, 0);
+  const timeval recv_timeout{5, 0};
+  rlimit saved;
+  if (waiting < 0 ||
+      ::setsockopt(waiting, SOL_SOCKET, SO_RCVTIMEO, &recv_timeout,
+                   sizeof(recv_timeout)) != 0 ||
+      ::getrlimit(RLIMIT_NOFILE, &saved) != 0) {
+    return 2;
+  }
+  rlimit low = saved;
+  low.rlim_cur = static_cast<rlim_t>(waiting) + 1;
+  if (::setrlimit(RLIMIT_NOFILE, &low) != 0) return 3;
+  std::vector<int> fillers;
+  for (int fd; (fd = ::dup(waiting)) >= 0;) fillers.push_back(fd);
+  if (errno != EMFILE) return 4;
+  sockaddr_in addr;
+  std::memset(&addr, 0, sizeof(addr));
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<uint16_t>(server.value()->port()));
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  if (::connect(waiting, reinterpret_cast<sockaddr*>(&addr),
+                sizeof(addr)) != 0) {
+    return 5;
+  }
+  const auto cap = std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (MetricsRegistry::Global().Snapshot().CounterValue(
+             "server.net_errors_total") == 0) {
+    if (std::chrono::steady_clock::now() > cap) return 6;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  for (int fd : fillers) ::close(fd);
+  if (::setrlimit(RLIMIT_NOFILE, &saved) != 0) return 7;
+  // The connection that met EMFILE is accepted once fds free up, and a
+  // new one is served too.
+  Frame ping;
+  ping.type = FrameType::kPing;
+  Frame pong;
+  if (!WriteFrame(waiting, ping).ok() || !ReadFrame(waiting, &pong).ok() ||
+      pong.type != FrameType::kPong) {
+    return 8;
+  }
+  auto fresh = Dial(*server.value());
+  if (!fresh.ok() || !fresh.value()->Ping().ok()) return 9;
+  ::close(waiting);
+  server.value()->Shutdown();
+  return 0;
+}
+
+// Transient accept() failures (here EMFILE: the process is out of fds)
+// cost at most the connection that met them, never the acceptor. Runs
+// in a death-test child so the lowered fd limit cannot leak into other
+// tests.
+TEST(ServerAcceptDeathTest, AcceptorSurvivesFdExhaustion) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(::_exit(ServeThroughFdExhaustion()),
+              ::testing::ExitedWithCode(0), "");
 }
 
 }  // namespace

@@ -4,8 +4,7 @@
 # Runs bench_server_throughput (the binary alternates cells across
 # rounds in-process and reports a best-of qps per cell), then requires
 # the EstimateBatch frame shape to clear the single-Estimate-per-frame
-# shape by at least the floor (default 2x) in EVERY (clients, window)
-# cell. Per-cell, not aggregate: the batch win is frame/syscall
+# shape by at least the floor (default 2x) in EVERY client-count cell. Per-cell, not aggregate: the batch win is frame/syscall
 # amortization over 64 queries, so any cell falling under 2x means the
 # batching layer itself regressed, not a noisy neighbor.
 #
@@ -44,27 +43,25 @@ import sys
 
 path, floor = sys.argv[1], float(sys.argv[2])
 
-qps = {}  # (mode, clients, window_us) -> qps
+qps = {}  # (mode, clients) -> qps
 with open(path) as f:
     for row in csv.DictReader(f):
-        qps[(row["mode"], row["clients"], row["window_us"])] = \
-            float(row["qps"])
+        qps[(row["mode"], row["clients"])] = float(row["qps"])
 
-cells = sorted({(c, w) for (m, c, w) in qps})
+cells = sorted({c for (m, c) in qps})
 if not cells:
     print("FAIL: no benchmark rows parsed", file=sys.stderr)
     sys.exit(1)
 
 worst = None
-for c, w in cells:
-    single = qps.get(("single", c, w))
-    batch = qps.get(("batch", c, w))
+for c in cells:
+    single = qps.get(("single", c))
+    batch = qps.get(("batch", c))
     if single is None or batch is None:
-        print(f"FAIL: clients={c} window={w} missing a request shape",
-              file=sys.stderr)
+        print(f"FAIL: clients={c} missing a request shape", file=sys.stderr)
         sys.exit(1)
     ratio = batch / single if single > 0 else float("inf")
-    print(f"clients={c} window_us={w}: single={single:.0f}qps "
+    print(f"clients={c}: single={single:.0f}qps "
           f"batch={batch:.0f}qps speedup={ratio:.2f}x")
     if worst is None or ratio < worst:
         worst = ratio
