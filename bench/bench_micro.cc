@@ -95,22 +95,63 @@ void BM_SimplexLsqSparse(benchmark::State& state) {
 }
 BENCHMARK(BM_SimplexLsqSparse)->Arg(50)->Arg(200);
 
+/// The NNLS system a PtsHist train hands to the solver: one 0/1 indicator
+/// row per query (4-D Power-like data, 4 bucket points per query drawn
+/// inside the queries), then the sum-to-one penalty row. 300 queries
+/// give the 301x1200 system of the wire_batch benchmark workload.
+DenseMatrix PtsHistNnlsSystem(int queries, Vector* b) {
+  const Dataset data = MakePowerLike(20000, 11).Project({0, 1, 2, 3});
+  CountingKdTree index(data.rows());
+  WorkloadOptions opts;
+  opts.seed = 12;
+  WorkloadGenerator gen(&data, &index, opts);
+  const Workload train = gen.Generate(queries);
+  Rng rng(13);
+  std::vector<Point> points;
+  for (int j = 0; j < 4 * queries; ++j) {
+    const Query& q = train[rng.UniformInt(train.size())].query;
+    points.push_back(SampleQueryInteriorOrFallback(q, data.Domain(), &rng));
+  }
+  const DenseMatrix ind = BuildPointIndicatorMatrix(train, points).ToDense();
+  const double penalty = SimplexLsqOptions{}.nnls_sum_penalty;
+  DenseMatrix a(queries + 1, ind.cols(), penalty);
+  b->assign(queries + 1, penalty);
+  for (int i = 0; i < queries; ++i) {
+    for (int j = 0; j < ind.cols(); ++j) a.at(i, j) = ind.at(i, j);
+    (*b)[i] = train[i].selectivity;
+  }
+  return a;
+}
+
+/// Args: rows, and whether the system is PtsHist-shaped (rows queries
+/// plus the penalty row, 4 * rows point columns) or random dense
+/// (rows x rows/2).
 void BM_NnlsDense(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
-  const int m = n / 2;
-  Rng rng(6);
-  DenseMatrix a(n, m);
-  Vector b(n);
-  for (int i = 0; i < n; ++i) {
-    b[i] = rng.NextDouble();
-    for (int j = 0; j < m; ++j) a.at(i, j) = rng.NextDouble();
+  DenseMatrix a;
+  Vector b;
+  if (state.range(1) != 0) {
+    a = PtsHistNnlsSystem(n, &b);
+  } else {
+    const int m = n / 2;
+    Rng rng(6);
+    a = DenseMatrix(n, m);
+    b.resize(n);
+    for (int i = 0; i < n; ++i) {
+      b[i] = rng.NextDouble();
+      for (int j = 0; j < m; ++j) a.at(i, j) = rng.NextDouble();
+    }
   }
   for (auto _ : state) {
     auto res = SolveNnls(a, b);
     benchmark::DoNotOptimize(res);
   }
 }
-BENCHMARK(BM_NnlsDense)->Arg(40)->Arg(120);
+BENCHMARK(BM_NnlsDense)
+    ->ArgNames({"rows", "ptshist"})
+    ->Args({40, 0})
+    ->Args({120, 0})
+    ->Args({300, 1});
 
 void BM_QuadHistTrain(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));

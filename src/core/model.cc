@@ -265,17 +265,22 @@ Result<Vector> SolveBucketWeightsImpl(const SparseMatrix& a,
       objective == TrainObjective::kL2 &&
       qp_options.method == SimplexLsqOptions::Method::kProjectedGradient;
 
-  // ---- Level 0: the requested solver, with one escalated retry. ----
+  // ---- Level 0: the requested solver, with one escalated retry when a
+  // bigger budget can change the outcome. ----
   if (objective == TrainObjective::kL2) {
     const char* stage = primary_is_pg ? "l2pg" : "l2nnls";
     if (fb.Absorb(stage, SolveSimplexLeastSquares(a, s, qp_options))) {
       return fb.Accept(FallbackLevel::kPrimary);
     }
-    SimplexLsqOptions escalated = qp_options;
-    escalated.max_iterations *= kRetryBudgetFactor;
-    ++stats->solver_retries;
-    if (fb.Absorb(stage, SolveSimplexLeastSquares(a, s, escalated))) {
-      return fb.Accept(FallbackLevel::kPrimary);
+    // max_iterations is FISTA's cap; NNLS never reads it, so retrying an
+    // NNLS primary would repeat the identical failed solve.
+    if (primary_is_pg) {
+      SimplexLsqOptions escalated = qp_options;
+      escalated.max_iterations *= kRetryBudgetFactor;
+      ++stats->solver_retries;
+      if (fb.Absorb(stage, SolveSimplexLeastSquares(a, s, escalated))) {
+        return fb.Accept(FallbackLevel::kPrimary);
+      }
     }
   } else {
     auto lp = SolveSimplexChebyshev(a.ToDense(), s, lp_options);

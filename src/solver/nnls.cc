@@ -7,55 +7,131 @@
 #include "common/deadline.h"
 #include "common/fault.h"
 #include "common/metrics.h"
+#include "common/simd.h"
 #include "common/trace.h"
 
 namespace sel {
+namespace {
 
-Vector SolveLeastSquaresQr(const DenseMatrix& a, const Vector& b) {
-  const int m = a.rows();
-  const int n = a.cols();
-  SEL_CHECK(static_cast<int>(b.size()) == m);
-  SEL_CHECK(n <= m);
+/// A column whose Gram–Schmidt residual is at most this fraction of its
+/// own norm lies in the span of the passive columns (duplicate bucket
+/// columns are the common case): it gets a zero diagonal, hence a zero
+/// coefficient, instead of a roundoff-sized pivot.
+constexpr double kRankTol = 1e-12;
 
-  // Householder QR on working copies.
-  DenseMatrix r = a;
-  Vector qtb = b;
-  for (int k = 0; k < n; ++k) {
-    // Build the Householder reflector for column k below the diagonal.
-    double norm = 0.0;
-    for (int i = k; i < m; ++i) norm += r.at(i, k) * r.at(i, k);
-    norm = std::sqrt(norm);
-    if (norm < 1e-14) continue;  // (near-)rank-deficient column
-    double alpha = r.at(k, k) >= 0.0 ? -norm : norm;
-    Vector v(m - k);
-    v[0] = r.at(k, k) - alpha;
-    for (int i = k + 1; i < m; ++i) v[i - k] = r.at(i, k);
-    double vtv = 0.0;
-    for (double x : v) vtv += x * x;
-    if (vtv < 1e-28) continue;
-    // Apply I - 2 v v^T / (v^T v) to remaining columns and to qtb.
-    for (int j = k; j < n; ++j) {
-      double dot = 0.0;
-      for (int i = k; i < m; ++i) dot += v[i - k] * r.at(i, j);
-      const double f = 2.0 * dot / vtv;
-      for (int i = k; i < m; ++i) r.at(i, j) -= f * v[i - k];
+/// Thin QR factorization A_P = Q R of the passive columns of A, with
+/// Q^T b kept alongside. Columns enter by two-pass modified Gram–Schmidt
+/// and leave by Givens rotations, so each passive-set least-squares
+/// solve is a back-substitution instead of a fresh factorization. Q is
+/// stored by column, R by column (column k holds rows 0..k).
+class PassiveQr {
+ public:
+  PassiveQr(const DenseMatrix& a, const Vector& b) : a_(a), b_(b) {}
+
+  int size() const { return static_cast<int>(cols_.size()); }
+
+  /// Passive column indices in factorization order.
+  const std::vector<int>& cols() const { return cols_; }
+
+  /// Appends column j of A: one new R column and one new Q^T b entry.
+  void Append(int j) {
+    const int m = a_.rows();
+    const int k = size();
+    const SimdOps& ops = Simd();
+    Vector q(m);
+    for (int i = 0; i < m; ++i) q[i] = a_.at(i, j);
+    const double norm = std::sqrt(ops.squared_norm(q.data(), m));
+    Vector r(k + 1, 0.0);
+    for (int pass = 0; pass < 2; ++pass) {
+      for (int c = 0; c < k; ++c) {
+        const double proj = ops.dot(q_[c].data(), q.data(), m);
+        r[c] += proj;
+        ops.axpy(-proj, q_[c].data(), q.data(), m);
+      }
     }
-    double dot = 0.0;
-    for (int i = k; i < m; ++i) dot += v[i - k] * qtb[i];
-    const double f = 2.0 * dot / vtv;
-    for (int i = k; i < m; ++i) qtb[i] -= f * v[i - k];
+    const double rho = std::sqrt(ops.squared_norm(q.data(), m));
+    double qtb = 0.0;
+    if (k < m && rho > kRankTol * norm) {
+      for (double& v : q) v /= rho;
+      r[k] = rho;
+      qtb = ops.dot(q.data(), b_.data(), m);
+    } else {
+      std::fill(q.begin(), q.end(), 0.0);  // dependent: zero diagonal
+    }
+    cols_.push_back(j);
+    q_.push_back(std::move(q));
+    r_.push_back(std::move(r));
+    qtb_.push_back(qtb);
   }
 
-  // Back-substitution on the upper-triangular part.
-  Vector x(n, 0.0);
-  for (int k = n - 1; k >= 0; --k) {
-    double s = qtb[k];
-    for (int j = k + 1; j < n; ++j) s -= r.at(k, j) * x[j];
-    const double diag = r.at(k, k);
-    x[k] = std::abs(diag) < 1e-12 ? 0.0 : s / diag;
+  /// Removes the column at factorization position p and restores the
+  /// triangle with Givens rotations on R's rows, Q's columns and Q^T b.
+  void Remove(int p) {
+    SEL_DCHECK(p >= 0 && p < size());
+    cols_.erase(cols_.begin() + p);
+    r_.erase(r_.begin() + p);
+    // R is now upper Hessenberg from column p on: column i carries a
+    // subdiagonal entry at row i + 1, which rotation i annihilates.
+    const int k = size();
+    const size_t m = static_cast<size_t>(a_.rows());
+    for (int i = p; i < k; ++i) {
+      Vector& ri = r_[i];
+      const double h = std::hypot(ri[i], ri[i + 1]);
+      if (h == 0.0) {
+        ri.pop_back();
+        continue;
+      }
+      const double c = ri[i] / h;
+      const double s = ri[i + 1] / h;
+      ri[i] = h;
+      ri.pop_back();
+      for (int col = i + 1; col < k; ++col) {
+        Rotate(c, s, &r_[col][i], &r_[col][i + 1]);
+      }
+      double* qi = q_[i].data();
+      double* qn = q_[i + 1].data();
+      for (size_t t = 0; t < m; ++t) Rotate(c, s, &qi[t], &qn[t]);
+      Rotate(c, s, &qtb_[i], &qtb_[i + 1]);
+    }
+    q_.pop_back();
+    qtb_.pop_back();
   }
-  return x;
-}
+
+  /// Least-squares coefficients on the passive columns, in
+  /// factorization order: back-substitution R z = Q^T b. A zero
+  /// diagonal (dependent column) yields a zero coefficient.
+  Vector Solve() const {
+    const int k = size();
+    const SimdOps& ops = Simd();
+    Vector rhs = qtb_;
+    Vector z(k, 0.0);
+    for (int i = k - 1; i >= 0; --i) {
+      const double diag = r_[i][i];
+      if (diag == 0.0) continue;
+      z[i] = rhs[i] / diag;
+      ops.axpy(-z[i], r_[i].data(), rhs.data(), static_cast<size_t>(i));
+    }
+    return z;
+  }
+
+ private:
+  /// (x, y) <- (c x + s y, -s x + c y).
+  static void Rotate(double c, double s, double* x, double* y) {
+    const double u = *x;
+    const double v = *y;
+    *x = c * u + s * v;
+    *y = c * v - s * u;
+  }
+
+  const DenseMatrix& a_;
+  const Vector& b_;
+  std::vector<int> cols_;
+  std::vector<Vector> q_;
+  std::vector<Vector> r_;
+  Vector qtb_;
+};
+
+}  // namespace
 
 Result<NnlsResult> SolveNnls(const DenseMatrix& a, const Vector& b,
                              const NnlsOptions& options) {
@@ -79,21 +155,13 @@ Result<NnlsResult> SolveNnls(const DenseMatrix& a, const Vector& b,
           ? 0
           : (options.max_iterations > 0 ? options.max_iterations
                                         : 3 * n + 30);
+  const double tol = options.tolerance;
 
   Vector x(n, 0.0);
   std::vector<bool> passive(n, false);
+  PassiveQr qr(a, b);
   bool kkt_satisfied = false;
   Vector w = a.ApplyTranspose(b);  // gradient of -0.5||Ax-b||^2 at x=0
-
-  auto SubproblemSolve = [&](const std::vector<int>& cols) {
-    DenseMatrix sub(m, static_cast<int>(cols.size()));
-    for (int i = 0; i < m; ++i) {
-      for (size_t j = 0; j < cols.size(); ++j) {
-        sub.at(i, static_cast<int>(j)) = a.at(i, cols[j]);
-      }
-    }
-    return SolveLeastSquaresQr(sub, b);
-  };
 
   int iterations = 0;
   bool deadline_hit = false;
@@ -107,7 +175,7 @@ Result<NnlsResult> SolveNnls(const DenseMatrix& a, const Vector& b,
     }
     // Select the most violated dual coordinate among the active set.
     int best = -1;
-    double best_w = options.tolerance;
+    double best_w = tol;
     for (int j = 0; j < n; ++j) {
       if (!passive[j] && w[j] > best_w) {
         best_w = w[j];
@@ -118,57 +186,63 @@ Result<NnlsResult> SolveNnls(const DenseMatrix& a, const Vector& b,
       kkt_satisfied = true;
       break;
     }
-    passive[best] = true;
     ++iterations;
 
-    // Inner loop: solve the unconstrained problem on the passive set and
-    // walk back along the segment if any passive coordinate went negative.
-    for (int inner = 0; inner < max_iter; ++inner) {
-      std::vector<int> cols;
-      for (int j = 0; j < n; ++j) {
-        if (passive[j]) cols.push_back(j);
-      }
-      if (cols.empty()) break;
-      if (static_cast<int>(cols.size()) > m) {
-        // More passive columns than rows: the subproblem is
-        // underdetermined; drop the newest column and stop growing.
-        passive[cols.back()] = false;
-        break;
-      }
-      Vector z = SubproblemSolve(cols);
+    // Entering-column test (Lawson–Hanson): a candidate whose trial
+    // coefficient is not positive would be dropped again at step zero,
+    // leaving the dual unchanged — so reject it until the next dual
+    // refresh instead of reselecting it forever.
+    qr.Append(best);
+    Vector z = qr.Solve();
+    if (z.back() <= tol) {
+      qr.Remove(qr.size() - 1);
+      w[best] = 0.0;
+      continue;
+    }
+    passive[best] = true;
 
+    // Inner loop: walk back along the segment while any passive
+    // coordinate of the least-squares solution is not positive.
+    for (int inner = 0; inner < max_iter; ++inner) {
+      const std::vector<int>& cols = qr.cols();
       bool all_positive = true;
-      for (size_t j = 0; j < cols.size(); ++j) {
-        if (z[j] <= options.tolerance) {
+      for (double zj : z) {
+        if (zj <= tol) {
           all_positive = false;
           break;
         }
       }
       if (all_positive) {
-        std::fill(x.begin(), x.end(), 0.0);
-        for (size_t j = 0; j < cols.size(); ++j) x[cols[j]] = z[j];
+        for (size_t p = 0; p < cols.size(); ++p) x[cols[p]] = z[p];
         break;
       }
       // Step length: largest alpha in (0,1] keeping x + alpha (z - x) >= 0.
       double alpha = 1.0;
-      for (size_t j = 0; j < cols.size(); ++j) {
-        if (z[j] <= options.tolerance) {
-          const double xj = x[cols[j]];
-          if (xj - z[j] > 0.0) {
-            alpha = std::min(alpha, xj / (xj - z[j]));
+      for (size_t p = 0; p < cols.size(); ++p) {
+        if (z[p] <= tol) {
+          const double xj = x[cols[p]];
+          if (xj - z[p] > 0.0) {
+            alpha = std::min(alpha, xj / (xj - z[p]));
           } else {
             alpha = 0.0;
           }
         }
       }
-      for (size_t j = 0; j < cols.size(); ++j) {
-        const int col = cols[j];
-        x[col] = x[col] + alpha * (z[j] - x[col]);
-        if (x[col] <= options.tolerance) {
+      // Step, then drop every coordinate that reached zero (back to
+      // front, so earlier factorization positions stay valid).
+      for (size_t p = 0; p < cols.size(); ++p) {
+        const int col = cols[p];
+        x[col] += alpha * (z[p] - x[col]);
+      }
+      for (int p = qr.size() - 1; p >= 0; --p) {
+        const int col = qr.cols()[p];
+        if (x[col] <= tol) {
           x[col] = 0.0;
           passive[col] = false;
+          qr.Remove(p);
         }
       }
+      z = qr.Solve();
     }
 
     // Refresh the dual vector w = A^T (b - A x).

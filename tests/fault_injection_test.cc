@@ -274,6 +274,27 @@ TEST(FallbackChainTest, L2ChainSkipsRedundantGradientLevel) {
   EXPECT_DOUBLE_EQ(w.value()[1], 0.5);
 }
 
+TEST(FallbackChainTest, NnlsPrimaryIsNotRetriedIdentically) {
+  FaultGuard guard;
+  // The escalated budget is FISTA's cap, which NNLS never reads, so an
+  // NNLS primary stuck at its iteration limit degrades straight to
+  // level 1 instead of repeating the identical solve.
+  FaultRegistry::Global().Arm("nnls.force_iteration_limit",
+                              FaultRegistry::kEveryHit);
+  TinyProblem p;
+  SimplexLsqOptions nnls;
+  nnls.method = SimplexLsqOptions::Method::kNnls;
+  TrainStats stats;
+  auto w = SolveBucketWeights(p.a, p.s, TrainObjective::kL2, nnls,
+                              LpOptions{}, &stats);
+  ASSERT_TRUE(w.ok());
+  EXPECT_EQ(stats.solver_retries, 0);
+  EXPECT_EQ(stats.solver_status, "l2nnls:iteration_limit;l2pg:converged");
+  EXPECT_EQ(stats.fallback_level,
+            static_cast<int>(FallbackLevel::kL2Gradient));
+  EXPECT_TRUE(stats.converged);
+}
+
 // ---------------------------------------------------------------------
 // End-to-end: Train() survives a fully degraded solve.
 // ---------------------------------------------------------------------

@@ -3,9 +3,11 @@
 // two-phase simplex LP, and the §4.6 Chebyshev (L∞) fit.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/rng.h"
+#include "common/simd.h"
 #include "geometry/point.h"
 #include "solver/lp.h"
 #include "solver/nnls.h"
@@ -80,6 +82,53 @@ TEST(SparseMatrixTest, FromRowsLayout) {
 }
 
 // ---------- QR least squares ----------
+
+// From-scratch Householder QR least squares, min ||A x - b|| (no column
+// pivoting; a tiny pivot zeroes its component). The reference oracle
+// for the incrementally updated passive-set QR inside SolveNnls.
+Vector SolveLeastSquaresQr(const DenseMatrix& a, const Vector& b) {
+  const int m = a.rows();
+  const int n = a.cols();
+  SEL_CHECK(static_cast<int>(b.size()) == m);
+  SEL_CHECK(n <= m);
+
+  DenseMatrix r = a;
+  Vector qtb = b;
+  for (int k = 0; k < n; ++k) {
+    // Householder reflector for column k below the diagonal.
+    double norm = 0.0;
+    for (int i = k; i < m; ++i) norm += r.at(i, k) * r.at(i, k);
+    norm = std::sqrt(norm);
+    if (norm < 1e-14) continue;  // (near-)rank-deficient column
+    const double alpha = r.at(k, k) >= 0.0 ? -norm : norm;
+    Vector v(m - k);
+    v[0] = r.at(k, k) - alpha;
+    for (int i = k + 1; i < m; ++i) v[i - k] = r.at(i, k);
+    double vtv = 0.0;
+    for (double x : v) vtv += x * x;
+    if (vtv < 1e-28) continue;
+    // Apply I - 2 v v^T / (v^T v) to the remaining columns and to qtb.
+    for (int j = k; j < n; ++j) {
+      double dot = 0.0;
+      for (int i = k; i < m; ++i) dot += v[i - k] * r.at(i, j);
+      const double f = 2.0 * dot / vtv;
+      for (int i = k; i < m; ++i) r.at(i, j) -= f * v[i - k];
+    }
+    double dot = 0.0;
+    for (int i = k; i < m; ++i) dot += v[i - k] * qtb[i];
+    const double f = 2.0 * dot / vtv;
+    for (int i = k; i < m; ++i) qtb[i] -= f * v[i - k];
+  }
+
+  Vector x(n, 0.0);
+  for (int k = n - 1; k >= 0; --k) {
+    double s = qtb[k];
+    for (int j = k + 1; j < n; ++j) s -= r.at(k, j) * x[j];
+    const double diag = r.at(k, k);
+    x[k] = std::abs(diag) < 1e-12 ? 0.0 : s / diag;
+  }
+  return x;
+}
 
 TEST(QrLeastSquaresTest, ExactSquareSystem) {
   DenseMatrix a(2, 2);
@@ -181,6 +230,226 @@ TEST(NnlsTest, RhsSizeMismatchRejected) {
   auto res = SolveNnls(a, {1.0});
   EXPECT_FALSE(res.ok());
   EXPECT_EQ(res.status().code(), StatusCode::kInvalidArgument);
+}
+
+// ---------- NNLS properties ----------
+
+// Seeded dense problem with signed entries, so a fair share of the
+// unconstrained optimum is negative and the bounds bind.
+void MakeDenseProblem(uint64_t seed, int m, int n, DenseMatrix* a,
+                      Vector* b) {
+  Rng rng(seed);
+  *a = DenseMatrix(m, n);
+  b->assign(m, 0.0);
+  for (int i = 0; i < m; ++i) {
+    (*b)[i] = rng.Uniform(-1.0, 1.0);
+    for (int j = 0; j < n; ++j) a->at(i, j) = rng.Uniform(-1.0, 1.0);
+  }
+}
+
+// A PtsHist-shaped Eq. (8) system as SolveSimplexLeastSquares hands it to
+// NNLS: one 0/1 column per point (1 where the point lies in the query
+// box), points mostly drawn inside the queries, every eighth column an
+// exact duplicate of an earlier one, rhs the queries' selectivities on a
+// clustered hidden sample, and the 1e3 sum-to-one penalty row last.
+void MakePtsHistProblem(uint64_t seed, int queries, int points, int dim,
+                        DenseMatrix* a, Vector* b) {
+  Rng rng(seed);
+  std::vector<Point> data(2000, Point(dim));
+  for (auto& p : data) {
+    const double center = rng.NextDouble() < 0.5 ? 0.3 : 0.7;
+    for (auto& v : p) v = std::clamp(rng.Gaussian(center, 0.15), 0.0, 1.0);
+  }
+  std::vector<Point> lo(queries, Point(dim)), hi(queries, Point(dim));
+  for (int i = 0; i < queries; ++i) {
+    const Point& c = data[rng.UniformInt(data.size())];
+    for (int d = 0; d < dim; ++d) {
+      const double half = rng.Uniform(0.05, 0.4);
+      lo[i][d] = std::max(0.0, c[d] - half);
+      hi[i][d] = std::min(1.0, c[d] + half);
+    }
+  }
+  auto inside = [&](const Point& p, int i) {
+    for (int d = 0; d < dim; ++d) {
+      if (p[d] < lo[i][d] || p[d] > hi[i][d]) return false;
+    }
+    return true;
+  };
+  std::vector<Point> buckets;
+  for (int j = 0; j < points; ++j) {
+    if (j % 8 == 7) {
+      buckets.push_back(buckets[rng.UniformInt(buckets.size())]);
+      continue;
+    }
+    Point p(dim);
+    const int q = static_cast<int>(rng.UniformInt(queries));
+    for (int d = 0; d < dim; ++d) {
+      p[d] = rng.NextDouble() < 0.9 ? rng.Uniform(lo[q][d], hi[q][d])
+                                    : rng.NextDouble();
+    }
+    buckets.push_back(std::move(p));
+  }
+  constexpr double kPenalty = 1e3;
+  *a = DenseMatrix(queries + 1, points);
+  b->assign(queries + 1, 0.0);
+  for (int i = 0; i < queries; ++i) {
+    int hits = 0;
+    for (const Point& p : data) hits += inside(p, i) ? 1 : 0;
+    (*b)[i] = static_cast<double>(hits) / data.size();
+    for (int j = 0; j < points; ++j) {
+      a->at(i, j) = inside(buckets[j], i) ? 1.0 : 0.0;
+    }
+  }
+  for (int j = 0; j < points; ++j) a->at(queries, j) = kPenalty;
+  (*b)[queries] = kPenalty;
+}
+
+// Checks a converged NNLS result: x >= 0, the KKT conditions (gradient
+// zero on the support, nonnegative off it), and agreement on the final
+// passive set with the from-scratch Householder oracle.
+void ExpectNnlsOptimal(const DenseMatrix& a, const Vector& b,
+                       const NnlsResult& res) {
+  const int m = a.rows();
+  const int n = a.cols();
+  ASSERT_TRUE(res.converged);
+  ASSERT_EQ(res.termination, SolverTermination::kConverged);
+  ASSERT_EQ(static_cast<int>(res.x.size()), n);
+  for (double v : res.x) ASSERT_GE(v, 0.0);
+
+  // Gradient of 0.5||Ax-b||^2, judged on the scale of ||a_j|| ||b||.
+  const Vector g = a.ApplyTranspose(Residual(a, res.x, b));
+  double max_col = 0.0;
+  for (int j = 0; j < n; ++j) {
+    double c = 0.0;
+    for (int i = 0; i < m; ++i) c += a.at(i, j) * a.at(i, j);
+    max_col = std::max(max_col, std::sqrt(c));
+  }
+  const double kkt_tol = 1e-9 * max_col * std::sqrt(SquaredNorm(b));
+  std::vector<int> support;
+  for (int j = 0; j < n; ++j) {
+    if (res.x[j] > 0.0) {
+      support.push_back(j);
+      EXPECT_NEAR(g[j], 0.0, kkt_tol) << "support column " << j;
+    } else {
+      EXPECT_GE(g[j], -kkt_tol) << "bound column " << j;
+    }
+  }
+
+  DenseMatrix sub(m, static_cast<int>(support.size()));
+  for (int i = 0; i < m; ++i) {
+    for (size_t k = 0; k < support.size(); ++k) {
+      sub.at(i, static_cast<int>(k)) = a.at(i, support[k]);
+    }
+  }
+  const Vector z = SolveLeastSquaresQr(sub, b);
+  double diff = 0.0, ref = 0.0;
+  for (size_t k = 0; k < support.size(); ++k) {
+    diff += (res.x[support[k]] - z[k]) * (res.x[support[k]] - z[k]);
+    ref += z[k] * z[k];
+  }
+  EXPECT_LE(std::sqrt(diff), 1e-9 * std::sqrt(ref));
+}
+
+TEST(NnlsPropertyTest, RandomDenseProblems) {
+  const struct {
+    int m, n;
+  } kShapes[] = {{30, 10}, {20, 40}, {60, 60}, {120, 40}};
+  uint64_t seed = 100;
+  for (const auto& shape : kShapes) {
+    for (int t = 0; t < 5; ++t) {
+      SCOPED_TRACE(testing::Message() << shape.m << "x" << shape.n
+                                      << " seed " << seed);
+      DenseMatrix a;
+      Vector b;
+      MakeDenseProblem(seed++, shape.m, shape.n, &a, &b);
+      auto res = SolveNnls(a, b);
+      ASSERT_TRUE(res.ok());
+      ExpectNnlsOptimal(a, b, res.value());
+    }
+  }
+}
+
+TEST(NnlsPropertyTest, PtsHistShapedProblems) {
+  const struct {
+    int queries, points, dim;
+  } kShapes[] = {{48, 190, 2}, {100, 400, 3}, {300, 1200, 4}};
+  uint64_t seed = 200;
+  for (const auto& shape : kShapes) {
+    for (int t = 0; t < 3; ++t) {
+      SCOPED_TRACE(testing::Message() << shape.queries + 1 << "x"
+                                      << shape.points << " seed " << seed);
+      DenseMatrix a;
+      Vector b;
+      MakePtsHistProblem(seed++, shape.queries, shape.points, shape.dim, &a,
+                         &b);
+      auto res = SolveNnls(a, b);
+      ASSERT_TRUE(res.ok());
+      ExpectNnlsOptimal(a, b, res.value());
+    }
+  }
+}
+
+TEST(NnlsPropertyTest, DependentCandidateIsRejectedNotReselected) {
+  // A 49x190 PtsHist-shaped system (the size of an online polish solve).
+  // Some candidates lie in the span of the passive columns, so their
+  // trial coefficient is zero while roundoff on the 1e3-scaled columns
+  // leaves their dual just above the tolerance. Without the entering-
+  // column test such a candidate is dropped at step zero, the dual does
+  // not change, and the same column is selected again until the
+  // 3n + 30 cap; with it the solve converges in a few hundred passes.
+  DenseMatrix a;
+  Vector b;
+  MakePtsHistProblem(200, 48, 190, 2, &a, &b);
+  auto res = SolveNnls(a, b);
+  ASSERT_TRUE(res.ok());
+  EXPECT_EQ(res.value().termination, SolverTermination::kConverged);
+  EXPECT_LT(res.value().iterations, 3 * a.cols() + 30);
+  ExpectNnlsOptimal(a, b, res.value());
+}
+
+TEST(NnlsPropertyTest, WalkBackDropsSeveralColumnsInOnePass) {
+  // Columns e_1..e_k and t*1, rhs (1, ..., 1, c). The unit columns enter
+  // first, one per pass (dual 1 against t(k + c) < 1). The dense column
+  // then enters with dual t*c, and the least-squares solve on all k+1
+  // columns gives it c/t while every unit column drops to 1 - c < 0:
+  // the walk-back must delete all k passive columns within that one
+  // pass, leaving the dense column alone at its 1-D optimum.
+  constexpr int k = 5;
+  constexpr double t = 0.1, c = 2.0;
+  DenseMatrix a(k + 1, k + 1);
+  Vector b(k + 1, 1.0);
+  b[k] = c;
+  for (int i = 0; i <= k; ++i) {
+    if (i < k) a.at(i, i) = 1.0;
+    a.at(i, k) = t;
+  }
+  auto res = SolveNnls(a, b);
+  ASSERT_TRUE(res.ok());
+  EXPECT_EQ(res.value().iterations, k + 1);  // no pass after the drop
+  for (int j = 0; j < k; ++j) EXPECT_EQ(res.value().x[j], 0.0);
+  EXPECT_NEAR(res.value().x[k], (k + c) / (t * (k + 1)), 1e-12);
+  ExpectNnlsOptimal(a, b, res.value());
+}
+
+TEST(NnlsPropertyTest, BitIdenticalAcrossSimdLevels) {
+  // The column work runs through the blocked-order SIMD kernels, so the
+  // iterate must not depend on the dispatch level (levels above what the
+  // host supports clamp down).
+  DenseMatrix a;
+  Vector b;
+  MakePtsHistProblem(210, 100, 400, 3, &a, &b);
+  const SimdLevel prev = ActiveSimdLevel();
+  SetSimdLevel(SimdLevel::kScalar);
+  auto ref = SolveNnls(a, b);
+  ASSERT_TRUE(ref.ok());
+  for (SimdLevel level : {SimdLevel::kSse2, SimdLevel::kAvx2}) {
+    SetSimdLevel(level);
+    auto res = SolveNnls(a, b);
+    ASSERT_TRUE(res.ok());
+    EXPECT_EQ(res.value().iterations, ref.value().iterations);
+    EXPECT_EQ(res.value().x, ref.value().x) << SimdLevelName(level);
+  }
+  SetSimdLevel(prev);
 }
 
 // ---------- Simplex projection ----------

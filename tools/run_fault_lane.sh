@@ -12,11 +12,13 @@ BUILD_DIR="${1:?usage: run_fault_lane.sh <build-dir>}"
 cd "${BUILD_DIR}" || { echo "FAIL: no build dir ${BUILD_DIR}" >&2; exit 1; }
 
 # One entry per failure domain the chain must absorb: solver iteration
-# caps, LP infeasibility, IO short reads, online retrain failures,
-# publication-gate rejections, torn model-file publication, and network
-# socket failures (read/write/accept) on the estimator server.
+# caps (FISTA and NNLS), LP infeasibility, IO short reads, online retrain
+# failures, publication-gate rejections, torn model-file publication,
+# and network socket failures (read/write/accept) on the estimator
+# server.
 LANES=(
   "qp.force_iteration_limit@*"
+  "nnls.force_iteration_limit@*"
   "lp.force_infeasible@*,lp.force_iteration_limit@*"
   "qp.fail@*,nnls.fail@*"
   "io.model_short_read@*,io.workload_short_read@*,io.csv_short_read@*"
