@@ -1,6 +1,6 @@
 // Microbenchmarks (google-benchmark) for the hot kernels: intersection
-// volumes, kd-tree counting, NNLS/QP weight solving, and QuadHist
-// training/estimation.
+// volumes, kd-tree counting, NNLS/QP weight solving, QuadHist
+// training/estimation, and the EstimateBatch wire codec.
 #include <benchmark/benchmark.h>
 
 #include "sel/sel.h"
@@ -207,6 +207,39 @@ void BM_PtsHistEstimate(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PtsHistEstimate);
+
+// EstimateBatch payload codec over a 256-query 4-D box batch: Arg(0)
+// times EncodeQueryBatch, Arg(1) DecodeQueryBatch (items = queries).
+void BM_QueryBatchCodec(benchmark::State& state) {
+  const bool decode = state.range(0) == 1;
+  Rng rng(13);
+  std::vector<Query> queries;
+  for (int i = 0; i < 256; ++i) {
+    Point lo(4), hi(4);
+    for (int j = 0; j < 4; ++j) {
+      lo[j] = rng.Uniform(0.0, 0.5);
+      hi[j] = lo[j] + rng.Uniform(0.0, 0.5);
+    }
+    queries.emplace_back(Box(std::move(lo), std::move(hi)));
+  }
+  std::string payload;
+  SEL_CHECK(EncodeQueryBatch(queries, &payload).ok());
+  std::vector<Query> decoded;
+  for (auto _ : state) {
+    if (decode) {
+      SEL_CHECK(DecodeQueryBatch(payload, 4, &decoded).ok());
+      benchmark::DoNotOptimize(decoded.data());
+    } else {
+      std::string out;
+      SEL_CHECK(EncodeQueryBatch(queries, &out).ok());
+      benchmark::DoNotOptimize(out.data());
+    }
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel(decode ? "decode" : "encode");
+  state.SetItemsProcessed(state.iterations() * 256);
+}
+BENCHMARK(BM_QueryBatchCodec)->Arg(0)->Arg(1);
 
 }  // namespace
 }  // namespace sel

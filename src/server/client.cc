@@ -119,22 +119,15 @@ Result<double> EstimatorClient::Estimate(const Query& query) {
   WireReader reader(response.value().payload);
   double value = 0.0;
   SEL_RETURN_IF_ERROR(reader.ReadF64(&value));
+  SEL_RETURN_IF_ERROR(ExpectEnd(reader));
   return value;
 }
 
 Result<std::vector<double>> EstimatorClient::EstimateBatch(
     const std::vector<Query>& queries) {
-  if (queries.empty() || queries.size() > kMaxBatchQueries) {
-    return Status::InvalidArgument(
-        "batch size must lie in [1, " +
-        std::to_string(kMaxBatchQueries) + "]");
-  }
   Frame request;
   request.type = FrameType::kEstimateBatch;
-  PutU32(&request.payload, static_cast<uint32_t>(queries.size()));
-  for (const Query& q : queries) {
-    SEL_RETURN_IF_ERROR(EncodeQuery(q, &request.payload));
-  }
+  SEL_RETURN_IF_ERROR(EncodeQueryBatch(queries, &request.payload));
   Result<Frame> response =
       RoundTrip(request, FrameType::kEstimateBatchResponse);
   SEL_RETURN_IF_ERROR(response.status());
@@ -144,11 +137,18 @@ Result<std::vector<double>> EstimatorClient::EstimateBatch(
   if (count != queries.size()) {
     return Status::Internal("batch response count mismatch");
   }
-  std::vector<double> values(count, 0.0);
-  for (uint32_t i = 0; i < count; ++i) {
-    SEL_RETURN_IF_ERROR(reader.ReadF64(&values[i]));
-  }
+  std::vector<double> values(count);
+  SEL_RETURN_IF_ERROR(reader.ReadF64s(values.data(), values.size()));
+  SEL_RETURN_IF_ERROR(ExpectEnd(reader));
   return values;
+}
+
+Status EstimatorClient::ExpectEnd(const WireReader& reader) {
+  if (reader.AtEnd()) return Status::OK();
+  // The stream is framed correctly, but the peer is not speaking this
+  // protocol: do not trust the connection with another request.
+  Close();
+  return Status::Internal("trailing bytes in response");
 }
 
 Status EstimatorClient::Feedback(const Query& query,

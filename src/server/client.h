@@ -40,11 +40,13 @@ class EstimatorClient {
   EstimatorClient& operator=(const EstimatorClient&) = delete;
 
   /// One estimate round trip. The returned double carries the server's
-  /// IEEE bits verbatim.
+  /// IEEE bits verbatim. A response with bytes past the double is
+  /// Internal ("trailing bytes in response") and closes the connection.
   Result<double> Estimate(const Query& query);
 
   /// Batch round trip: one EstimateBatch frame, `queries.size()`
-  /// results in order.
+  /// results in order. A response with bytes past its last result is
+  /// Internal and closes the connection (as for Estimate).
   Result<std::vector<double>> EstimateBatch(
       const std::vector<Query>& queries);
 
@@ -70,6 +72,10 @@ class EstimatorClient {
   /// mapped non-OK Status; a response of unexpected type is
   /// InternalError. IO failures close the connection.
   Result<Frame> RoundTrip(const Frame& request, FrameType expected);
+
+  /// OK iff `reader` consumed the whole response payload; otherwise
+  /// closes the connection and returns Internal.
+  Status ExpectEnd(const WireReader& reader);
 
   int fd_ = -1;
 };

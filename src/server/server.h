@@ -119,6 +119,8 @@ class EstimatorServer {
   /// One admitted Estimate/EstimateBatch request, owned by the stack of
   /// the reader that admitted it; that reader returns only once `done`.
   struct PendingRequest {
+    /// Moved out (never copied) by the leader when the batch coalesces
+    /// several requests.
     std::vector<Query> queries;
     Deadline deadline;                  ///< armed iff request_deadline_ms > 0
     std::chrono::steady_clock::time_point enqueued_at;
@@ -127,7 +129,7 @@ class EstimatorServer {
     /// expiry maps onto its own DEADLINE_EXCEEDED frame.
     WireStatus status = WireStatus::kOk;
     std::string message;
-    std::vector<double> values;
+    std::vector<double> values;  ///< one per query, sized at dispatch
     /// Guarded by queue_mu_; `cv` wakes the admitting reader when either
     /// flips.
     bool done = false;

@@ -1,8 +1,9 @@
 // Wire-protocol unit tests (DESIGN.md §14): primitive round trips are
-// bit-exact, frame headers reject every malformation class, and query
+// bit-exact, frame headers reject every malformation class, query
 // decoding validates raw parameters BEFORE any geometry object exists —
 // the constructors abort on bad input, so the decoder must never reach
-// them with it.
+// them with it — the batch format is pinned byte for byte, and seeded
+// mutations of batch payloads end in a Status, never an abort.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -12,6 +13,7 @@
 #include <cstring>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include "sel/sel.h"
 
@@ -30,10 +32,10 @@ TEST(WirePrimitives, RoundTripBitExact) {
   for (double v : values) PutF64(&buf, v);
 
   WireReader r(buf);
-  uint8_t u8;
-  uint16_t u16;
-  uint32_t u32;
-  uint64_t u64;
+  uint8_t u8 = 0;
+  uint16_t u16 = 0;
+  uint32_t u32 = 0;
+  uint64_t u64 = 0;
   ASSERT_TRUE(r.ReadU8(&u8).ok());
   ASSERT_TRUE(r.ReadU16(&u16).ok());
   ASSERT_TRUE(r.ReadU32(&u32).ok());
@@ -49,6 +51,29 @@ TEST(WirePrimitives, RoundTripBitExact) {
     EXPECT_EQ(std::memcmp(&got, &v, sizeof(double)), 0);
   }
   EXPECT_TRUE(r.AtEnd());
+}
+
+TEST(WirePrimitives, BulkF64sRoundTripAndBoundsCheck) {
+  const double values[] = {-0.0, std::numeric_limits<double>::denorm_min(),
+                           1.0, -3.5};
+  std::string buf;
+  PutF64s(&buf, values, 4);
+  ASSERT_EQ(buf.size(), 4 * sizeof(double));
+  std::string one_by_one;
+  for (double v : values) PutF64(&one_by_one, v);
+  EXPECT_EQ(buf, one_by_one);
+
+  WireReader r(buf);
+  double got[5];
+  EXPECT_EQ(r.ReadF64s(got, 5).code(), StatusCode::kInvalidArgument);
+  // The failed read did not advance.
+  ASSERT_TRUE(r.ReadF64s(got, 4).ok());
+  EXPECT_EQ(std::memcmp(got, values, sizeof(values)), 0);
+  EXPECT_TRUE(r.AtEnd());
+  // A count whose byte size wraps to 8 is a truncation, not an 8-byte
+  // read.
+  WireReader r2(buf);
+  EXPECT_FALSE(r2.ReadF64s(got, (size_t{1} << 61) + 1).ok());
 }
 
 TEST(WirePrimitives, ReaderRejectsReadPastEnd) {
@@ -108,22 +133,243 @@ TEST(FrameHeader, RejectsEveryMalformationClass) {
                    .ok());
 }
 
+/// Bit identity of two coordinate arrays (== would equate -0.0 and 0.0).
+void ExpectSameBits(const Point& got, const Point& want) {
+  ASSERT_EQ(got.size(), want.size());
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), want.size() * sizeof(double)),
+            0);
+}
+
+void ExpectSameBits(double got, double want) {
+  EXPECT_EQ(std::memcmp(&got, &want, sizeof(double)), 0);
+}
+
+// Every decoded parameter must carry the encoded bits in the encoded
+// slot: a codec that swapped lo/hi, reversed an array or dropped a sign
+// fails here. -0.0 and subnormals ride along in each array.
 TEST(QueryCodec, BoxHalfspaceBallRoundTrip) {
-  const Query queries[] = {
-      Query(Box({0.1, 0.2}, {0.8, 0.9})),
-      Query(Halfspace({0.5, -1.25}, 0.75)),
-      Query(Ball({0.5, 0.5}, 0.25)),
-  };
-  for (const Query& q : queries) {
-    std::string buf;
-    ASSERT_TRUE(EncodeQuery(q, &buf).ok());
-    WireReader r(buf);
-    Result<Query> decoded = DecodeQuery(&r);
-    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-    EXPECT_TRUE(r.AtEnd());
-    EXPECT_EQ(decoded.value().type(), q.type());
-    EXPECT_EQ(decoded.value().dim(), q.dim());
+  const double kSub = std::numeric_limits<double>::denorm_min();
+  for (const int dim : {1, 2, 4, 7, 12}) {
+    SCOPED_TRACE("dim " + std::to_string(dim));
+    Point lo(dim), hi(dim), normal(dim), center(dim);
+    for (int i = 0; i < dim; ++i) {
+      lo[i] = i == 0 ? -0.0 : 0.01 * i;
+      hi[i] = i == 0 ? kSub : 0.5 + 0.03 * i;
+      normal[i] = i % 3 == 0 ? 1.0 + i : (i % 3 == 1 ? -0.0 : -kSub * i);
+      center[i] = i % 2 == 0 ? -0.0 : 3 * kSub + 0.1 * i;
+    }
+    const Query queries[] = {
+        Query(Box(lo, hi)),
+        Query(Halfspace(normal, -0.0)),
+        Query(Ball(center, kSub)),
+    };
+    for (const Query& q : queries) {
+      std::string buf;
+      ASSERT_TRUE(EncodeQuery(q, &buf).ok());
+      WireReader r(buf);
+      Result<Query> decoded = DecodeQuery(&r);
+      ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+      EXPECT_TRUE(r.AtEnd());
+      const Query& d = decoded.value();
+      ASSERT_EQ(d.type(), q.type());
+      EXPECT_EQ(d.dim(), q.dim());
+      switch (q.type()) {
+        case QueryType::kBox:
+          ExpectSameBits(d.box().lo(), lo);
+          ExpectSameBits(d.box().hi(), hi);
+          break;
+        case QueryType::kHalfspace:
+          ExpectSameBits(d.halfspace().normal(), normal);
+          ExpectSameBits(d.halfspace().offset(), -0.0);
+          break;
+        case QueryType::kBall:
+          ExpectSameBits(d.ball().center(), center);
+          ExpectSameBits(d.ball().radius(), kSub);
+          break;
+        case QueryType::kSemiAlgebraic:
+          FAIL() << "not wire-encodable";
+      }
+    }
   }
+}
+
+std::string Hex(const std::string& bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (unsigned char c : bytes) {
+    out.push_back(kDigits[c >> 4]);
+    out.push_back(kDigits[c & 15]);
+  }
+  return out;
+}
+
+// The exact bytes of one EstimateBatch frame, written by hand from the
+// layout in proto.h: any change to the wire format fails here.
+TEST(QueryCodec, GoldenBatchFrameBytes) {
+  const std::vector<Query> queries = {
+      Query(Box({0.25, 0.5}, {0.75, 1.0})),
+      Query(Ball({0.5, 0.25}, 0.125)),
+  };
+  Frame frame;
+  frame.type = FrameType::kEstimateBatch;
+  ASSERT_TRUE(EncodeQueryBatch(queries, &frame.payload).ok());
+  const std::string golden =
+      // header: magic "SEL1", version 1, type 5, status 0, reserved 0,
+      // payload length 66
+      "53454c31" "01" "05" "00" "00" "42000000"
+      // count 2
+      "02000000"
+      // box: tag 1, dim 2, lo {0.25, 0.5}, hi {0.75, 1.0}
+      "01" "0200"
+      "000000000000d03f" "000000000000e03f"
+      "000000000000e83f" "000000000000f03f"
+      // ball: tag 3, dim 2, centre {0.5, 0.25}, radius 0.125
+      "03" "0200"
+      "000000000000e03f" "000000000000d03f"
+      "000000000000c03f";
+  EXPECT_EQ(Hex(EncodeFrame(frame)), golden);
+
+  std::vector<Query> decoded;
+  ASSERT_TRUE(DecodeQueryBatch(frame.payload, 2, &decoded).ok());
+  ASSERT_EQ(decoded.size(), 2u);
+  ExpectSameBits(decoded[0].box().hi(), Point{0.75, 1.0});
+  ExpectSameBits(decoded[1].ball().radius(), 0.125);
+}
+
+TEST(QueryBatchCodec, EncodeRejectsBadSizesAndKeepsOutput) {
+  std::string out = "prefix";
+  EXPECT_EQ(EncodeQueryBatch({}, &out).code(), StatusCode::kInvalidArgument);
+  const Polynomial x = Polynomial::Variable(2, 0);
+  const std::vector<Query> mixed = {Query(Box({0.1, 0.1}, {0.2, 0.2})),
+                                    Query(SemiAlgebraicSet::Atom(x))};
+  EXPECT_EQ(EncodeQueryBatch(mixed, &out).code(),
+            StatusCode::kUnimplemented);
+  EXPECT_EQ(out, "prefix");
+}
+
+TEST(QueryBatchCodec, DecodeChecksCountDimensionAndTrailingBytes) {
+  const std::vector<Query> queries = {Query(Box({0.1, 0.2}, {0.3, 0.4})),
+                                      Query(Halfspace({1.0, -1.0}, 0.0))};
+  std::string payload;
+  ASSERT_TRUE(EncodeQueryBatch(queries, &payload).ok());
+  std::vector<Query> out;
+  ASSERT_TRUE(DecodeQueryBatch(payload, 2, &out).ok());
+  EXPECT_EQ(out.size(), 2u);
+
+  Status st = DecodeQueryBatch(payload, 3, &out);
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(st.message(), "query dimension 2 != served model dimension 3");
+
+  st = DecodeQueryBatch(payload + "x", 2, &out);
+  EXPECT_EQ(st.message(), "trailing bytes after query");
+
+  // A count the remaining bytes cannot hold is refused before any
+  // decoding (or reservation) happens: here 3 queries in 2 queries' bytes,
+  // then the largest count with no bytes at all.
+  std::string lying = payload;
+  lying[0] = 3;
+  st = DecodeQueryBatch(lying.substr(0, 4 + 2 * kMinEncodedQueryBytes - 1),
+                        2, &out);
+  EXPECT_EQ(st.message(), "bad batch count");
+  std::string bomb;
+  PutU32(&bomb, kMaxBatchQueries);
+  st = DecodeQueryBatch(bomb, 2, &out);
+  EXPECT_EQ(st.message(), "bad batch count");
+  EXPECT_TRUE(out.empty());
+  std::string zero;
+  PutU32(&zero, 0);
+  EXPECT_EQ(DecodeQueryBatch(zero, 2, &out).message(), "bad batch count");
+
+  // The single-query decoder applies the same checks to one query.
+  std::string one;
+  ASSERT_TRUE(EncodeQuery(queries[1], &one).ok());
+  ASSERT_TRUE(DecodeEstimateQuery(one, 2, &out).ok());
+  EXPECT_EQ(out.size(), 1u);
+  EXPECT_EQ(DecodeEstimateQuery(one + "x", 2, &out).message(),
+            "trailing bytes after query");
+  EXPECT_FALSE(DecodeEstimateQuery(one, 1, &out).ok());
+}
+
+/// A valid batch of 1-5 mixed box/halfspace/ball queries of `dim`.
+std::vector<Query> RandomBatch(int dim, Rng* rng) {
+  std::vector<Query> batch;
+  const size_t n = 1 + rng->UniformInt(5);
+  for (size_t i = 0; i < n; ++i) {
+    Point a(dim), b(dim);
+    for (int j = 0; j < dim; ++j) {
+      a[j] = rng->Uniform(0.0, 0.5);
+      b[j] = a[j] + rng->Uniform(0.0, 0.5);
+    }
+    switch (rng->UniformInt(3)) {
+      case 0: batch.emplace_back(Box(a, b)); break;
+      case 1:
+        batch.emplace_back(
+            Halfspace(rng->UnitVector(dim), rng->Uniform(-1.0, 1.0)));
+        break;
+      default: batch.emplace_back(Ball(a, rng->Uniform(0.0, 0.5))); break;
+    }
+  }
+  return batch;
+}
+
+// Seeded mutation fuzzing of the EstimateBatch trust boundary: byte
+// flips, truncation at every length, and splices of two payloads. Every
+// outcome must be a Status (an abort kills the test binary), and a batch
+// the decoder accepts must re-encode to exactly the bytes it came from.
+TEST(QueryBatchCodec, SeededMutationsYieldStatusOrFaithfulBatch) {
+  Rng rng(20261018);
+  struct Seed {
+    std::string payload;
+    int dim;
+  };
+  std::vector<Seed> seeds;
+  for (int dim = 1; dim <= 4; ++dim) {
+    for (int k = 0; k < 4; ++k) {
+      Seed s{std::string(), dim};
+      ASSERT_TRUE(EncodeQueryBatch(RandomBatch(dim, &rng), &s.payload).ok());
+      seeds.push_back(std::move(s));
+    }
+  }
+  size_t accepted = 0, rejected = 0;
+  auto check = [&](const std::string& payload, int dim) {
+    std::vector<Query> out;
+    const Status st = DecodeQueryBatch(payload, dim, &out);
+    if (!st.ok()) {
+      EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+      ++rejected;
+      return;
+    }
+    ++accepted;
+    std::string again;
+    ASSERT_TRUE(EncodeQueryBatch(out, &again).ok());
+    EXPECT_EQ(Hex(again), Hex(payload));
+  };
+  for (const Seed& s : seeds) {
+    check(s.payload, s.dim);
+    for (size_t len = 0; len < s.payload.size(); ++len) {
+      check(s.payload.substr(0, len), s.dim);
+    }
+  }
+  for (int iter = 0; iter < 4000; ++iter) {
+    const Seed& s = seeds[rng.UniformInt(seeds.size())];
+    std::string m = s.payload;
+    const size_t flips = 1 + rng.UniformInt(4);
+    for (size_t f = 0; f < flips; ++f) {
+      m[rng.UniformInt(m.size())] ^=
+          static_cast<char>(1 + rng.UniformInt(255));
+    }
+    check(m, s.dim);
+  }
+  for (int iter = 0; iter < 2000; ++iter) {
+    const Seed& a = seeds[rng.UniformInt(seeds.size())];
+    const Seed& b = seeds[rng.UniformInt(seeds.size())];
+    check(a.payload.substr(0, rng.UniformInt(a.payload.size() + 1)) +
+              b.payload.substr(rng.UniformInt(b.payload.size() + 1)),
+          a.dim);
+  }
+  // The budget exercised both outcomes, not just one.
+  EXPECT_GT(accepted, 100u);
+  EXPECT_GT(rejected, 1000u);
 }
 
 TEST(QueryCodec, SemiAlgebraicIsUnimplemented) {

@@ -337,6 +337,74 @@ TEST(ServerConcurrency, ConcurrentSinglesCoalesceIntoFewerBatches) {
   EXPECT_LT(batches, sent) << "every request ran as its own batch";
 }
 
+// Batch frames of different sizes coalesced into one dispatch are moved,
+// not copied, into the flat batch; each reader must still get exactly
+// its own answers, bit identical to the in-process plan.
+TEST(ServerConcurrency, CoalescedBatchesOfMixedSizesBitIdentical) {
+  Fixture fx;
+  auto est = fx.MakeTrained();
+  const auto plan = est->serving_plan();
+  ASSERT_NE(plan, nullptr);
+  auto server = EstimatorServer::Start(est.get(), QuietOptions());
+  ASSERT_TRUE(server.ok());
+  struct MetricsOn {
+    const bool was = MetricsEnabled();
+    MetricsOn() {
+      SetMetricsEnabled(true);
+      MetricsRegistry::Global().Reset();
+    }
+    ~MetricsOn() { SetMetricsEnabled(was); }
+  } metrics_on;
+
+  const size_t kSizes[] = {1, 5, 17, 64};
+  constexpr int kRequests = 20;
+  std::vector<std::vector<Query>> frames;
+  std::vector<std::vector<double>> direct;
+  for (size_t t = 0; t < std::size(kSizes); ++t) {
+    frames.emplace_back();
+    for (const auto& z : fx.MakeWorkload(kSizes[t], 3000 + t)) {
+      frames.back().push_back(z.query);
+    }
+    direct.emplace_back(kSizes[t]);
+    plan->EstimateMany(frames[t].data(), kSizes[t], direct[t].data());
+  }
+  std::atomic<int> mismatches{0};
+  std::atomic<int> failures{0};
+  uint64_t sent = 0;
+  uint64_t batches = 0;
+  const auto cap = std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  do {
+    std::vector<std::thread> threads;
+    for (size_t t = 0; t < frames.size(); ++t) {
+      threads.emplace_back([&, t] {
+        auto client = Dial(*server.value());
+        if (!client.ok()) {
+          failures.fetch_add(1);
+          return;
+        }
+        for (int i = 0; i < kRequests; ++i) {
+          auto r = client.value()->EstimateBatch(frames[t]);
+          if (!r.ok() || r.value().size() != kSizes[t]) {
+            failures.fetch_add(1);
+          } else if (std::memcmp(r.value().data(), direct[t].data(),
+                                 sizeof(double) * kSizes[t]) != 0) {
+            mismatches.fetch_add(1);
+          }
+        }
+      });
+    }
+    for (auto& t : threads) t.join();
+    sent += frames.size() * kRequests;
+    const MetricsSnapshot snap = MetricsRegistry::Global().Snapshot();
+    const HistogramSnapshot* h = snap.FindHistogram("server.batch_size");
+    batches = h == nullptr ? 0 : h->count;
+  } while (batches >= sent && failures.load() == 0 &&
+           std::chrono::steady_clock::now() < cap);
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_LT(batches, sent) << "no batch carried more than one request";
+}
+
 // Serving keeps answering while feedback frames drive retrains (and the
 // gate→publish pipeline) underneath; every concurrent answer stays a
 // valid selectivity.
@@ -591,6 +659,39 @@ TEST(ServerMalformed, InvertedBoxIntervalRejectedAtEdge) {
   ::close(fd);
 }
 
+// A batch count the payload cannot hold is refused before the reader
+// reserves anything for it: a 16-byte frame claiming 65536 queries must
+// not cost ~3.7 MB. The reject is frame-aligned, so the connection goes
+// on serving.
+TEST(ServerMalformed, BatchCountBeyondPayloadRejected) {
+  Fixture fx;
+  auto est = fx.MakeTrained();
+  auto server = EstimatorServer::Start(est.get(), QuietOptions());
+  ASSERT_TRUE(server.ok());
+  const int fd = DialRaw(server.value()->port());
+  Frame request;
+  request.type = FrameType::kEstimateBatch;
+  PutU32(&request.payload, kMaxBatchQueries);
+  ASSERT_EQ(EncodeFrame(request).size(), 16u);
+  ASSERT_TRUE(WriteFrame(fd, request).ok());
+  Frame reply;
+  ASSERT_TRUE(ReadFrame(fd, &reply).ok());
+  EXPECT_EQ(reply.type, FrameType::kError);
+  EXPECT_EQ(reply.status, WireStatus::kInvalidArgument);
+  EXPECT_EQ(reply.payload, "bad batch count");
+
+  Frame estimate;
+  estimate.type = FrameType::kEstimate;
+  ASSERT_TRUE(
+      EncodeQuery(Query(Box({0.1, 0.1}, {0.6, 0.7})), &estimate.payload)
+          .ok());
+  ASSERT_TRUE(WriteFrame(fd, estimate).ok());
+  ASSERT_TRUE(ReadFrame(fd, &reply).ok());
+  EXPECT_EQ(reply.type, FrameType::kEstimateResponse);
+  EXPECT_EQ(reply.payload.size(), sizeof(double));
+  ::close(fd);
+}
+
 TEST(ServerMalformed, DimensionMismatchRejected) {
   Fixture fx;
   auto est = fx.MakeTrained();  // 2-dim model
@@ -602,6 +703,59 @@ TEST(ServerMalformed, DimensionMismatchRejected) {
   auto r = client.value()->Estimate(q3);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+}
+
+// The client holds responses to the standard the server holds requests
+// to: bytes past the last result mean the peer is not speaking this
+// protocol, so the call fails Internal and the connection is dropped.
+TEST(ClientMalformed, TrailingResponseBytesAreInternalAndClose) {
+  const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(listener, 0);
+  sockaddr_in addr;
+  std::memset(&addr, 0, sizeof(addr));
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::bind(listener, reinterpret_cast<sockaddr*>(&addr),
+                   sizeof(addr)),
+            0);
+  ASSERT_EQ(::listen(listener, 4), 0);
+  socklen_t len = sizeof(addr);
+  ASSERT_EQ(::getsockname(listener, reinterpret_cast<sockaddr*>(&addr),
+                          &len),
+            0);
+  const int port = ntohs(addr.sin_port);
+  const Query q(Box({0.1, 0.1}, {0.6, 0.7}));
+
+  // Each case connects first (the handshake completes in the backlog),
+  // then one peer thread accepts, reads the request, and answers it
+  // with a well-framed response carrying 8 extra bytes.
+  for (const bool batch : {false, true}) {
+    SCOPED_TRACE(batch ? "EstimateBatch" : "Estimate");
+    auto client = EstimatorClient::Connect("127.0.0.1", port);
+    ASSERT_TRUE(client.ok()) << client.status().ToString();
+    std::thread peer([listener, batch] {
+      const int fd = ::accept(listener, nullptr, nullptr);
+      if (fd < 0) return;
+      Frame request;
+      if (ReadFrame(fd, &request).ok()) {
+        Frame response;
+        response.type = batch ? FrameType::kEstimateBatchResponse
+                              : FrameType::kEstimateResponse;
+        if (batch) PutU32(&response.payload, 1);
+        PutF64(&response.payload, 0.5);
+        PutU64(&response.payload, 0);  // trailing
+        (void)WriteFrame(fd, response);
+      }
+      ::close(fd);
+    });
+    const Status st = batch ? client.value()->EstimateBatch({q}).status()
+                            : client.value()->Estimate(q).status();
+    peer.join();
+    EXPECT_EQ(st.code(), StatusCode::kInternal) << st.ToString();
+    EXPECT_EQ(st.message(), "trailing bytes in response");
+    EXPECT_FALSE(client.value()->connected());
+  }
+  ::close(listener);
 }
 
 // An injected read/write/accept failure costs one connection, never the
