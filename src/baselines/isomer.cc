@@ -220,21 +220,7 @@ Status Isomer::Train(const Workload& workload) {
 
   trained_ = true;
   train_stats_.train_seconds = timer.Seconds();
-  return Status::OK();
-}
-
-double Isomer::Estimate(const Query& query) const {
-  SEL_CHECK_MSG(trained_, "Isomer::Estimate before Train");
-  SEL_CHECK(query.dim() == dim_);
-  SEL_CHECK_MSG(query.type() == QueryType::kBox,
-                "Isomer estimates orthogonal range queries only");
-  const Box& r = query.box();
-  double s = 0.0;
-  for (size_t b = 0; b < buckets_.size(); ++b) {
-    if (buckets_[b].weight == 0.0) continue;
-    s += buckets_[b].weight * EffectiveFraction(static_cast<int>(b), r);
-  }
-  return std::clamp(s, 0.0, 1.0);
+  return LowerToPlan();
 }
 
 namespace {

@@ -34,13 +34,22 @@ struct IsomerOptions {
   VolumeOptions volume;
 };
 
-/// The ISOMER baseline. Orthogonal range queries only.
+/// The ISOMER baseline. Trains on orthogonal range queries only; its
+/// plan answers every query shape.
 class Isomer : public SelectivityModel {
  public:
+  /// One STHoles bucket: a box whose effective region is the box minus
+  /// its children's boxes.
+  struct Bucket {
+    Box box;
+    std::vector<int> children;
+    double weight = 0.0;          // mass of the effective region
+    double effective_volume = 0;  // vol(box) - sum child vol
+  };
+
   Isomer(int domain_dim, const IsomerOptions& options);
 
   Status Train(const Workload& workload) override;
-  double Estimate(const Query& query) const override;
   size_t NumBuckets() const override { return buckets_.size(); }
   std::string Name() const override { return "Isomer"; }
 
@@ -50,14 +59,10 @@ class Isomer : public SelectivityModel {
   /// density. Piece facets are exact copies of bucket/hole facets.
   Result<CompiledPlan> Compile() const override;
 
- private:
-  struct Bucket {
-    Box box;
-    std::vector<int> children;
-    double weight = 0.0;          // mass of the effective region
-    double effective_volume = 0;  // vol(box) - sum child vol
-  };
+  /// The bucket tree after training (index 0 is the root).
+  const std::vector<Bucket>& Buckets() const { return buckets_; }
 
+ private:
   void Drill(int b, const Box& range);
   void RecomputeEffectiveVolumes();
   /// Fraction of bucket b's effective region covered by `range` (in [0,1]).

@@ -1,7 +1,5 @@
 #include "baselines/quicksel.h"
 
-#include <algorithm>
-
 #include "common/check.h"
 #include "common/rng.h"
 #include "common/timer.h"
@@ -90,18 +88,10 @@ Status QuickSel::Train(const Workload& workload) {
     SEL_CHECK_MSG(k.Volume() > 0.0,
                   "QuickSel: kernel construction produced a zero-volume box");
   }
-  inv_vols_ = ComputeInverseVolumes(kernels_);
 
   trained_ = true;
   train_stats_.train_seconds = timer.Seconds();
-  return Status::OK();
-}
-
-double QuickSel::Estimate(const Query& query) const {
-  SEL_CHECK_MSG(trained_, "QuickSel::Estimate before Train");
-  SEL_CHECK(query.dim() == dim_);
-  return EstimateFromBoxBuckets(query, kernels_, weights_, inv_vols_,
-                                options_.volume);
+  return LowerToPlan();
 }
 
 Result<CompiledPlan> QuickSel::Compile() const {

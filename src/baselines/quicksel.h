@@ -38,7 +38,6 @@ class QuickSel : public SelectivityModel {
   QuickSel(int domain_dim, const QuickSelOptions& options);
 
   Status Train(const Workload& workload) override;
-  double Estimate(const Query& query) const override;
   size_t NumBuckets() const override { return kernels_.size(); }
   std::string Name() const override { return "QuickSel"; }
 
@@ -48,12 +47,14 @@ class QuickSel : public SelectivityModel {
   /// The kernel boxes after training.
   const std::vector<Box>& Kernels() const { return kernels_; }
 
+  /// The learned kernel weights, aligned with Kernels().
+  const Vector& Weights() const { return weights_; }
+
  private:
   int dim_;
   QuickSelOptions options_;
   std::vector<Box> kernels_;
   Vector weights_;
-  std::vector<double> inv_vols_;  // cached 1/vol(kernel), set at train
   bool trained_ = false;
 };
 

@@ -16,7 +16,7 @@
 // One variant is selected at startup: CPUID (via
 // __builtin_cpu_supports) picks the widest supported table, and the
 // SEL_SIMD={auto,avx2,sse2,scalar} environment knob — parsed once,
-// mirroring SEL_THREADS / SEL_SERVE_PLAN — can pin it down for
+// mirroring SEL_THREADS — can pin it down for
 // A/B-testing or bug triage. Requests above what the host supports
 // clamp down; malformed values abort at startup (the SEL_FAULTS
 // convention). Tests force variants programmatically via

@@ -38,12 +38,22 @@ class ArrangementLearner : public SelectivityModel {
   ArrangementLearner(int domain_dim, const ArrangementOptions& options);
 
   Status Train(const Workload& workload) override;
-  double Estimate(const Query& query) const override;
   size_t NumBuckets() const override;
   std::string Name() const override { return "Arrangement"; }
 
-  /// The cell boxes after training (histogram mode).
+  /// Lowers the cells to Eq. (6) box entries (histogram mode) or their
+  /// centers to Eq. (7) point entries (discrete mode).
+  Result<CompiledPlan> Compile() const override;
+
+  /// The cell boxes after training.
   const std::vector<Box>& Cells() const { return cells_; }
+
+  /// The cell centers carrying the weights in discrete mode (empty in
+  /// histogram mode).
+  const std::vector<Point>& CellPoints() const { return cell_points_; }
+
+  /// The learned cell weights, aligned with Cells().
+  const Vector& Weights() const { return weights_; }
 
  private:
   int dim_;

@@ -1,8 +1,6 @@
 #include "core/model.h"
 
-#include <algorithm>
 #include <cctype>
-#include <cmath>
 #include <limits>
 
 #include "common/check.h"
@@ -36,23 +34,17 @@ Result<double> SelectivityModel::TryEstimate(const Query& query) const {
   return Estimate(query);
 }
 
-std::shared_ptr<const CompiledPlan> SelectivityModel::shared_plan() const {
-  if (!ServePlanEnabled()) return nullptr;
-  std::lock_guard<std::mutex> lock(plan_mu_);
-  if (plan_cache_ != nullptr || plan_non_lowerable_) return plan_cache_;
+double SelectivityModel::Estimate(const Query& query) const {
+  SEL_CHECK_MSG(plan_ != nullptr, "%s::Estimate before Train",
+                Name().c_str());
+  return plan_->EstimateOne(query);
+}
+
+Status SelectivityModel::LowerToPlan() {
   Result<CompiledPlan> compiled = Compile();
-  if (compiled.ok()) {
-    plan_cache_ =
-        std::make_shared<const CompiledPlan>(std::move(compiled).value());
-    SEL_METRIC_COUNTER_INC("serve.plan.compiles_total");
-  } else if (compiled.status().code() == StatusCode::kUnimplemented) {
-    // Permanently non-lowerable: remember so every batch does not retry.
-    plan_non_lowerable_ = true;
-    SEL_METRIC_COUNTER_INC("serve.plan.non_lowerable_total");
-  }
-  // Other failures (e.g. FailedPrecondition before Train) stay uncached:
-  // a later call, after training, compiles successfully.
-  return plan_cache_;
+  if (!compiled.ok()) return compiled.status();
+  plan_ = std::make_shared<const CompiledPlan>(std::move(compiled).value());
+  return Status::OK();
 }
 
 SparseMatrix BuildBoxFractionMatrix(const Workload& workload,
@@ -347,55 +339,5 @@ Result<Vector> SolveBucketWeightsImpl(const SparseMatrix& a,
 }
 
 }  // namespace
-
-std::vector<double> ComputeInverseVolumes(const std::vector<Box>& buckets) {
-  std::vector<double> inv;
-  inv.reserve(buckets.size());
-  for (const Box& b : buckets) {
-    const double v = b.Volume();
-    inv.push_back(v > 0.0 ? 1.0 / v : 0.0);
-  }
-  return inv;
-}
-
-double EstimateFromBoxBuckets(const Query& query,
-                              const std::vector<Box>& buckets,
-                              const Vector& weights,
-                              const VolumeOptions& volume_options) {
-  SEL_CHECK(buckets.size() == weights.size());
-  double s = 0.0;
-  for (size_t j = 0; j < buckets.size(); ++j) {
-    if (weights[j] == 0.0 || query.DisjointFromBox(buckets[j])) continue;
-    s += weights[j] * QueryBoxFraction(query, buckets[j], volume_options);
-  }
-  return std::clamp(s, 0.0, 1.0);
-}
-
-double EstimateFromBoxBuckets(const Query& query,
-                              const std::vector<Box>& buckets,
-                              const Vector& weights,
-                              const std::vector<double>& inv_vols,
-                              const VolumeOptions& volume_options) {
-  SEL_CHECK(buckets.size() == weights.size());
-  SEL_CHECK(buckets.size() == inv_vols.size());
-  double s = 0.0;
-  for (size_t j = 0; j < buckets.size(); ++j) {
-    if (weights[j] == 0.0 || query.DisjointFromBox(buckets[j])) continue;
-    s += BoxBucketTerm(query, buckets[j], weights[j], inv_vols[j],
-                       volume_options);
-  }
-  return std::clamp(s, 0.0, 1.0);
-}
-
-double EstimateFromPointBuckets(const Query& query,
-                                const std::vector<Point>& buckets,
-                                const Vector& weights) {
-  SEL_CHECK(buckets.size() == weights.size());
-  double s = 0.0;
-  for (size_t j = 0; j < buckets.size(); ++j) {
-    if (weights[j] != 0.0 && query.Contains(buckets[j])) s += weights[j];
-  }
-  return std::clamp(s, 0.0, 1.0);
-}
 
 }  // namespace sel

@@ -6,7 +6,6 @@
 #define SEL_CORE_MODEL_H_
 
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -35,7 +34,9 @@ enum class FallbackLevel : int {
 
 /// Per-training-run statistics reported by every model.
 struct TrainStats {
-  double train_seconds = 0.0;     ///< Wall-clock training time.
+  /// Wall-clock training time: bucket design and weight solve, not the
+  /// lowering that closes Train.
+  double train_seconds = 0.0;
   double train_loss = 0.0;        ///< Mean squared loss on the training set.
   int solver_iterations = 0;      ///< Iterations of the accepted solve.
   int fallback_level = 0;         ///< FallbackLevel of the accepted stage.
@@ -47,15 +48,22 @@ struct TrainStats {
 };
 
 /// Abstract learned selectivity estimator.
+///
+/// A lowerable model's prediction form is its CompiledPlan: Train ends
+/// by lowering (Compile) into `plan_`, and the base Estimate answers from
+/// it. Only the non-lowerable models (GmmModel, AviHistogram) override
+/// Estimate.
 class SelectivityModel {
  public:
   virtual ~SelectivityModel() = default;
 
-  /// Fits the model to the training workload. May be called once.
+  /// Fits the model to the training workload. May be called once. A
+  /// lowerable model whose lowering fails fails the Train.
   virtual Status Train(const Workload& workload) = 0;
 
-  /// Estimated selectivity of `query`, in [0, 1].
-  virtual double Estimate(const Query& query) const = 0;
+  /// Estimated selectivity of `query`, in [0, 1]: the serving plan's
+  /// Eq. (6)/(7) sum. Calling before a successful Train aborts.
+  virtual double Estimate(const Query& query) const;
 
   /// Model complexity: number of buckets (Figs. 10, 31, 34, 37, ...).
   virtual size_t NumBuckets() const = 0;
@@ -70,56 +78,36 @@ class SelectivityModel {
 
   /// Lowers the trained model to its flat serving form (serve/ IR).
   /// Distribution-backed models (quadhist/ptshist/static/staticpoints/
-  /// isomer/quicksel) override this; the default marks the model
-  /// non-lowerable (kUnimplemented) and serving falls back to the
-  /// virtual Estimate path. Calling before Train fails with
-  /// kFailedPrecondition.
+  /// isomer/quicksel/arrangement/plan) override this; the default marks
+  /// the model non-lowerable (kUnimplemented). Calling before Train
+  /// fails with kFailedPrecondition.
   virtual Result<CompiledPlan> Compile() const;
 
-  /// Validating front door over the virtual Estimate path: rejects
-  /// malformed queries (non-finite parameters, inverted intervals —
-  /// see ValidateQuery) with InvalidArgument, counted under
-  /// serve.invalid_query_total, instead of feeding them into estimator
-  /// arithmetic. Request-handling edges call this; trusted internal
-  /// callers keep the raw virtual Estimate.
+  /// Validating front door over Estimate: rejects malformed queries
+  /// (non-finite parameters, inverted intervals — see ValidateQuery)
+  /// with InvalidArgument, counted under serve.invalid_query_total,
+  /// instead of feeding them into estimator arithmetic. Request-handling
+  /// edges call this; trusted internal callers keep the raw Estimate.
   Result<double> TryEstimate(const Query& query) const;
 
-  /// The model's serving plan, compiled once and cached: nullptr when
-  /// plan serving is disabled (SEL_SERVE_PLAN=0), the model is
-  /// non-lowerable, or compilation failed. A kUnimplemented Compile is
-  /// remembered permanently; any other failure (e.g. not yet trained) is
-  /// retried on the next call, so a post-train call still compiles.
-  /// Thread-safe; callers keep the shared_ptr alive for lock-free reads.
-  std::shared_ptr<const CompiledPlan> shared_plan() const;
+  /// The model's serving plan: set by the last step of Train (at
+  /// construction for the static forms and PlanModel); nullptr before
+  /// Train and for non-lowerable models. Callers keep the shared_ptr
+  /// alive for lock-free reads.
+  std::shared_ptr<const CompiledPlan> shared_plan() const { return plan_; }
 
   /// Statistics from the last Train call.
   const TrainStats& train_stats() const { return train_stats_; }
 
  protected:
   SelectivityModel() = default;
-  // The plan cache (mutex + pointer) is per-object state that must not
-  // travel with copies/moves; only the training statistics do. Without
-  // these, the std::mutex member would delete the implicit move that
-  // by-value factories (GmmModel::FromParameters) rely on.
-  SelectivityModel(const SelectivityModel& other)
-      : train_stats_(other.train_stats_) {}
-  SelectivityModel(SelectivityModel&& other) noexcept
-      : train_stats_(std::move(other.train_stats_)) {}
-  SelectivityModel& operator=(const SelectivityModel& other) {
-    train_stats_ = other.train_stats_;
-    return *this;
-  }
-  SelectivityModel& operator=(SelectivityModel&& other) noexcept {
-    train_stats_ = std::move(other.train_stats_);
-    return *this;
-  }
+
+  /// Lowers through Compile() into the serving plan; the last step of
+  /// every lowerable model's Train.
+  Status LowerToPlan();
 
   TrainStats train_stats_;
-
- private:
-  mutable std::mutex plan_mu_;
-  mutable std::shared_ptr<const CompiledPlan> plan_cache_;
-  mutable bool plan_non_lowerable_ = false;
+  std::shared_ptr<const CompiledPlan> plan_;
 };
 
 /// Assembles the Eq. (8) coefficient matrix for box buckets: row i holds
@@ -153,30 +141,6 @@ Result<Vector> SolveBucketWeights(const SparseMatrix& a, const Vector& s,
                                   const SimplexLsqOptions& qp_options,
                                   const LpOptions& lp_options,
                                   TrainStats* stats);
-
-/// Precomputes 1/vol(B_j) for each bucket; 0 marks a degenerate
-/// (zero-volume) bucket, the sentinel BoxBucketTerm resolves via center
-/// containment. Compute once after bucket design, serve many times.
-std::vector<double> ComputeInverseVolumes(const std::vector<Box>& buckets);
-
-/// Histogram estimate (Eq. 6): sum_j w_j * vol(B_j ∩ R)/vol(B_j).
-double EstimateFromBoxBuckets(const Query& query,
-                              const std::vector<Box>& buckets,
-                              const Vector& weights,
-                              const VolumeOptions& volume_options);
-
-/// Eq. (6) with cached inverse volumes (no per-call vol(B_j) recompute).
-/// `inv_vols` must come from ComputeInverseVolumes over the same buckets.
-double EstimateFromBoxBuckets(const Query& query,
-                              const std::vector<Box>& buckets,
-                              const Vector& weights,
-                              const std::vector<double>& inv_vols,
-                              const VolumeOptions& volume_options);
-
-/// Discrete-distribution estimate (Eq. 7): sum_j w_j * 1(B_j in R).
-double EstimateFromPointBuckets(const Query& query,
-                                const std::vector<Point>& buckets,
-                                const Vector& weights);
 
 }  // namespace sel
 

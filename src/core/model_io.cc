@@ -178,6 +178,18 @@ Status ForEachRecord(
   return Status::OK();
 }
 
+/// Maps a model whose records parsed but do not lower (all-zero weights,
+/// a box whose inverse volume is not finite) to the loader's IOError.
+Result<std::unique_ptr<SelectivityModel>> Lowered(
+    Result<std::unique_ptr<SelectivityModel>> model,
+    const ModelLoadContext& ctx) {
+  if (!model.ok()) {
+    return Status::IOError("unservable model in " + ctx.path + ": " +
+                           model.status().message());
+  }
+  return model;
+}
+
 }  // namespace
 
 Status WriteBoxModel(std::ostream& out, const std::string& kind,
@@ -258,8 +270,8 @@ Result<std::unique_ptr<SelectivityModel>> LoadBoxModel(
         return Status::OK();
       });
   if (!st.ok()) return st;
-  return std::unique_ptr<SelectivityModel>(
-      new StaticHistogram(std::move(boxes), std::move(weights)));
+  return Lowered(
+      StaticHistogram::Create(std::move(boxes), std::move(weights)), ctx);
 }
 
 Result<std::unique_ptr<SelectivityModel>> LoadPointModel(
@@ -278,8 +290,8 @@ Result<std::unique_ptr<SelectivityModel>> LoadPointModel(
         return Status::OK();
       });
   if (!st.ok()) return st;
-  return std::unique_ptr<SelectivityModel>(
-      new StaticPointModel(std::move(points), std::move(weights)));
+  return Lowered(
+      StaticPointModel::Create(std::move(points), std::move(weights)), ctx);
 }
 
 Result<std::unique_ptr<SelectivityModel>> LoadGaussModel(

@@ -16,12 +16,6 @@ namespace sel {
 
 namespace {
 
-/// Serves one query from a snapshot the way Estimate() would.
-double StateEstimate(const ServingState& state, const Query& query) {
-  if (state.plan != nullptr) return state.plan->EstimateOne(query);
-  return state.model->Estimate(query);
-}
-
 /// Q-error at one-tuple resolution (mirrors eval_metrics::QError; kept
 /// local so the serving core does not depend on the eval layer).
 double GateQError(double estimate, double truth) {
@@ -98,7 +92,6 @@ double OnlineEstimator::Estimate(const Query& query) const {
   SEL_CHECK(query.dim() == dim_);
   const std::shared_ptr<const ServingState> state = LoadState();
   if (state == nullptr) return options_.prior_estimate;
-  if (state->plan != nullptr) return state->plan->EstimateOne(query);
   return state->model->Estimate(query);
 }
 
@@ -173,22 +166,12 @@ Status OnlineEstimator::GateCandidate(const ServingState& candidate,
   }
   SEL_CHECK(!holdout.empty());
   const std::shared_ptr<const ServingState> incumbent = LoadState();
-  // A candidate that lost the incumbent's compiled-plan capability would
-  // silently fall off the fast serving path; that's a regression, not a
-  // publishable state. (Non-lowerable estimators never had a plan, so
-  // nullptr == nullptr passes.)
-  if (incumbent != nullptr && incumbent->plan != nullptr &&
-      candidate.plan == nullptr) {
-    return Status::FailedPrecondition(
-        "candidate rejected: plan lowering regressed (incumbent serves a "
-        "compiled plan, candidate has none)");
-  }
   std::vector<double> cand_q;
   std::vector<double> inc_q;
   cand_q.reserve(holdout.size());
   inc_q.reserve(holdout.size());
   for (const auto& z : holdout) {
-    const double est = StateEstimate(candidate, z.query);
+    const double est = candidate.model->Estimate(z.query);
     // !(in range) also rejects NaN — a degenerate model never publishes.
     if (!(est >= 0.0 && est <= 1.0)) {
       return Status::FailedPrecondition(
@@ -197,7 +180,7 @@ Status OnlineEstimator::GateCandidate(const ServingState& candidate,
     }
     cand_q.push_back(GateQError(est, z.selectivity));
     if (incumbent != nullptr) {
-      inc_q.push_back(GateQError(StateEstimate(*incumbent, z.query),
+      inc_q.push_back(GateQError(incumbent->model->Estimate(z.query),
                                  z.selectivity));
     }
   }
@@ -267,16 +250,14 @@ Status OnlineEstimator::RetrainNow() {
                                    ? Deadline::AfterMillis(
                                          options_.train_deadline_ms)
                                    : TrainDeadlineFromEnv());
-    SEL_RETURN_IF_ERROR(fresh.value()->Train(train));
-    // Compile the plan BEFORE publishing: the expensive lowering happens
+    // Train ends by lowering the plan, so the expensive lowering happens
     // here on the retrain thread, and the publish below is a single
     // pointer swap under the narrow state lock. Readers never observe a
-    // model without its plan (or block on the compile). shared_plan()
-    // honours SEL_SERVE_PLAN and returns nullptr for non-lowerable
-    // estimators — the snapshot then serves through the virtual path.
+    // model without its plan (or block on the lowering). Non-lowerable
+    // estimators carry no plan and serve through their own Estimate.
+    SEL_RETURN_IF_ERROR(fresh.value()->Train(train));
     auto next = std::make_shared<ServingState>();
     next->model = std::move(fresh).value();
-    next->plan = next->model->shared_plan();
     if (DeadlineExpired()) {
       reason = RejectReason::kDeadline;
       return Status::FailedPrecondition(

@@ -39,12 +39,11 @@
 
 namespace sel {
 
-/// One immutable serving snapshot: the trained model plus its compiled
-/// plan (nullptr when the estimator is non-lowerable or SEL_SERVE_PLAN
-/// is off, in which case the virtual Estimate path serves).
+/// One immutable serving snapshot: the trained model, whose Estimate
+/// answers through its CompiledPlan (shared_plan(); nullptr only for the
+/// non-lowerable estimators, whose Estimate override serves).
 struct ServingState {
   std::unique_ptr<SelectivityModel> model;
-  std::shared_ptr<const CompiledPlan> plan;
 };
 
 /// Tunables for the online loop.
@@ -174,11 +173,11 @@ class OnlineEstimator {
   bool trained() const { return LoadState() != nullptr; }
 
   /// The plan currently serving, or nullptr before the first training
-  /// round / when the estimator is non-lowerable / when SEL_SERVE_PLAN
-  /// is off. Mostly for tests and introspection.
+  /// round / when the estimator is non-lowerable. The server's batch
+  /// path and tests read it.
   std::shared_ptr<const CompiledPlan> serving_plan() const {
     const auto state = LoadState();
-    return state == nullptr ? nullptr : state->plan;
+    return state == nullptr ? nullptr : state->model->shared_plan();
   }
 
  private:

@@ -39,7 +39,6 @@ class PtsHist : public SelectivityModel {
   PtsHist(int domain_dim, const PtsHistOptions& options);
 
   Status Train(const Workload& workload) override;
-  double Estimate(const Query& query) const override;
   size_t NumBuckets() const override { return points_.size(); }
   std::string Name() const override { return "PtsHist"; }
 

@@ -47,7 +47,6 @@ class QuadHist : public SelectivityModel {
   QuadHist(int domain_dim, const QuadHistOptions& options);
 
   Status Train(const Workload& workload) override;
-  double Estimate(const Query& query) const override;
   size_t NumBuckets() const override { return num_leaves_; }
   std::string Name() const override { return "QuadHist"; }
 
@@ -70,8 +69,7 @@ class QuadHist : public SelectivityModel {
     Box box;
     int32_t first_child = -1;  // 2^d contiguous children; -1 for a leaf
     int16_t depth = 0;
-    double weight = 0.0;          // leaf weight after training
-    double subtree_weight = 0.0;  // sum of leaf weights below
+    double weight = 0.0;  // leaf weight after training
   };
 
   bool IsLeaf(int32_t u) const { return nodes_[u].first_child < 0; }
@@ -81,8 +79,6 @@ class QuadHist : public SelectivityModel {
   void CollectRow(int32_t u, const Query& query,
                   std::vector<std::pair<int, double>>* row,
                   const std::vector<int32_t>& leaf_index) const;
-  double EstimateNode(int32_t u, const Query& query) const;
-  double AccumulateSubtreeWeights(int32_t u);
 
   int dim_;
   QuadHistOptions options_;

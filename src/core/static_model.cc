@@ -1,6 +1,5 @@
 #include "core/static_model.h"
 
-#include "common/check.h"
 #include "core/estimator_registry.h"
 #include "core/model_io.h"
 
@@ -9,22 +8,19 @@ namespace sel {
 StaticHistogram::StaticHistogram(std::vector<Box> buckets, Vector weights,
                                  VolumeOptions volume)
     : buckets_(std::move(buckets)), weights_(std::move(weights)),
-      volume_(volume) {
-  SEL_CHECK(buckets_.size() == weights_.size());
-  SEL_CHECK(!buckets_.empty());
-  const int d = buckets_[0].dim();
-  for (const auto& b : buckets_) SEL_CHECK(b.dim() == d);
-  inv_vols_ = ComputeInverseVolumes(buckets_);
+      volume_(volume) {}
+
+Result<std::unique_ptr<SelectivityModel>> StaticHistogram::Create(
+    std::vector<Box> buckets, Vector weights, VolumeOptions volume) {
+  std::unique_ptr<StaticHistogram> model(
+      new StaticHistogram(std::move(buckets), std::move(weights), volume));
+  SEL_RETURN_IF_ERROR(model->LowerToPlan());
+  return std::unique_ptr<SelectivityModel>(std::move(model));
 }
 
 Status StaticHistogram::Train(const Workload&) {
   return Status::FailedPrecondition(
       "StaticHistogram is immutable; construct a fresh learner to retrain");
-}
-
-double StaticHistogram::Estimate(const Query& query) const {
-  return EstimateFromBoxBuckets(query, buckets_, weights_, inv_vols_,
-                                volume_);
 }
 
 Result<CompiledPlan> StaticHistogram::Compile() const {
@@ -33,20 +29,19 @@ Result<CompiledPlan> StaticHistogram::Compile() const {
 }
 
 StaticPointModel::StaticPointModel(std::vector<Point> points, Vector weights)
-    : points_(std::move(points)), weights_(std::move(weights)) {
-  SEL_CHECK(points_.size() == weights_.size());
-  SEL_CHECK(!points_.empty());
-  const size_t d = points_[0].size();
-  for (const auto& p : points_) SEL_CHECK(p.size() == d);
+    : points_(std::move(points)), weights_(std::move(weights)) {}
+
+Result<std::unique_ptr<SelectivityModel>> StaticPointModel::Create(
+    std::vector<Point> points, Vector weights) {
+  std::unique_ptr<StaticPointModel> model(
+      new StaticPointModel(std::move(points), std::move(weights)));
+  SEL_RETURN_IF_ERROR(model->LowerToPlan());
+  return std::unique_ptr<SelectivityModel>(std::move(model));
 }
 
 Status StaticPointModel::Train(const Workload&) {
   return Status::FailedPrecondition(
       "StaticPointModel is immutable; construct a fresh learner to retrain");
-}
-
-double StaticPointModel::Estimate(const Query& query) const {
-  return EstimateFromPointBuckets(query, points_, weights_);
 }
 
 Result<CompiledPlan> StaticPointModel::Compile() const {
@@ -65,9 +60,7 @@ Result<std::unique_ptr<SelectivityModel>> BuildStaticHistogram(
   SpecOptionReader reader(spec);
   const Status st = reader.Finish();
   if (!st.ok()) return st;
-  std::vector<Box> buckets = {Box::Unit(dim)};
-  return std::unique_ptr<SelectivityModel>(
-      new StaticHistogram(std::move(buckets), Vector{1.0}));
+  return StaticHistogram::Create({Box::Unit(dim)}, Vector{1.0});
 }
 
 Result<std::unique_ptr<SelectivityModel>> BuildStaticPointModel(
@@ -76,9 +69,7 @@ Result<std::unique_ptr<SelectivityModel>> BuildStaticPointModel(
   SpecOptionReader reader(spec);
   const Status st = reader.Finish();
   if (!st.ok()) return st;
-  std::vector<Point> points = {Point(dim, 0.5)};
-  return std::unique_ptr<SelectivityModel>(
-      new StaticPointModel(std::move(points), Vector{1.0}));
+  return StaticPointModel::Create({Point(dim, 0.5)}, Vector{1.0});
 }
 
 Status SaveStaticHistogram(const SelectivityModel& model,

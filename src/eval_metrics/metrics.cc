@@ -66,49 +66,22 @@ std::vector<double> EstimateBatch(const SelectivityModel& model,
   SEL_TRACE_SPAN("predict.batch");
   SEL_METRIC_SCOPED_LATENCY("predict.batch_us");
   SEL_METRIC_COUNTER_ADD("predict.queries_total", queries.size());
-  // Serve through the compiled plan when the model lowers (and the
-  // SEL_SERVE_PLAN escape hatch is open); otherwise fall back to the
-  // virtual Estimate path. The shared_ptr keeps the plan alive for the
-  // whole batch even if the model retrains concurrently.
-  const std::shared_ptr<const CompiledPlan> plan = model.shared_plan();
-  if (plan != nullptr) {
-    SEL_METRIC_SCOPED_LATENCY("serve.plan.batch_us");
-    SEL_METRIC_COUNTER_ADD("serve.plan.queries_total", queries.size());
-  } else {
-    SEL_METRIC_COUNTER_ADD("serve.plan.virtual_queries_total",
-                           queries.size());
-  }
   std::vector<double> est(queries.size());
   if (latencies_us != nullptr) latencies_us->assign(queries.size(), 0.0);
   // Per-query clocks run only when someone consumes them; the plain
-  // batched path stays two clock calls total. Pruning stats live in
-  // per-query slots so the accounting is race-free and deterministic.
+  // batched path stays two clock calls total.
   const bool time_queries = latencies_us != nullptr || MetricsEnabled();
-  const bool track_pruning = plan != nullptr && MetricsEnabled();
-  std::vector<PlanEvalStats> pruning(track_pruning ? queries.size() : 0);
   ParallelFor(0, static_cast<int64_t>(queries.size()), 4, [&](int64_t i) {
-    PlanEvalStats* slot = track_pruning ? &pruning[i] : nullptr;
-    if (time_queries) {
-      WallTimer timer;
-      est[i] = plan != nullptr ? plan->EstimateOne(queries[i].query, slot)
-                               : model.Estimate(queries[i].query);
-      const double us = timer.Seconds() * 1e6;
-      if (latencies_us != nullptr) (*latencies_us)[i] = us;
-      SEL_METRIC_HIST_RECORD("predict.query_us", us);
-    } else {
-      est[i] = plan != nullptr ? plan->EstimateOne(queries[i].query, slot)
-                               : model.Estimate(queries[i].query);
+    if (!time_queries) {
+      est[i] = model.Estimate(queries[i].query);
+      return;
     }
+    WallTimer timer;
+    est[i] = model.Estimate(queries[i].query);
+    const double us = timer.Seconds() * 1e6;
+    if (latencies_us != nullptr) (*latencies_us)[i] = us;
+    SEL_METRIC_HIST_RECORD("predict.query_us", us);
   });
-  if (track_pruning) {
-    PlanEvalStats total;
-    for (const PlanEvalStats& s : pruning) {
-      total.entries_total += s.entries_total;
-      total.entries_visited += s.entries_visited;
-    }
-    SEL_METRIC_GAUGE_SET("serve.plan.prune_ratio_pct",
-                         static_cast<int64_t>(100.0 * total.PruneRatio()));
-  }
   return est;
 }
 

@@ -34,12 +34,10 @@ ErrorReport ComputeErrors(const std::vector<double>& estimates,
 
 /// Batched prediction: estimates[i] = model.Estimate(queries[i].query),
 /// computed in parallel on the shared pool (Estimate is const and
-/// side-effect free for every model in the library). Lowerable models
-/// serve through their cached CompiledPlan (shared_plan()) unless
-/// SEL_SERVE_PLAN=0; everything else stays on the virtual path. When the
-/// metrics registry is enabled, per-query latencies land in the
-/// "predict.query_us" histogram and the plan path feeds the
-/// serve.plan.* instruments.
+/// side-effect free for every model in the library; lowerable models
+/// answer through their CompiledPlan). When the metrics registry is
+/// enabled, per-query latencies land in the "predict.query_us"
+/// histogram.
 std::vector<double> EstimateBatch(const SelectivityModel& model,
                                   const Workload& queries);
 

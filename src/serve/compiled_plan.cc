@@ -1,46 +1,16 @@
 #include "serve/compiled_plan.h"
 
-#include <atomic>
+#include <algorithm>
 #include <cmath>
 #include <numeric>
 #include <utility>
 
 #include "common/check.h"
-#include "common/env.h"
 #include "common/metrics.h"
 #include "common/thread_pool.h"
 #include "common/trace.h"
 
 namespace sel {
-
-namespace serve_internal {
-
-std::atomic<bool> g_serve_plan_enabled{true};
-
-namespace {
-/// One-time SEL_SERVE_PLAN parse, mirroring the SEL_METRICS knob: any
-/// value other than "0"/"false"/"off" keeps plan serving on.
-bool InitServePlanFromEnv() {
-  const std::string v = GetEnvString("SEL_SERVE_PLAN", "1");
-  const bool enabled = !(v == "0" || v == "false" || v == "off");
-  g_serve_plan_enabled.store(enabled, std::memory_order_relaxed);
-  return enabled;
-}
-}  // namespace
-
-}  // namespace serve_internal
-
-bool ServePlanEnabled() {
-  static const bool init = serve_internal::InitServePlanFromEnv();
-  (void)init;
-  return serve_internal::g_serve_plan_enabled.load(std::memory_order_relaxed);
-}
-
-void SetServePlanEnabled(bool enabled) {
-  (void)ServePlanEnabled();  // force the env parse first, so it never wins
-  serve_internal::g_serve_plan_enabled.store(enabled,
-                                             std::memory_order_relaxed);
-}
 
 namespace {
 
@@ -428,8 +398,9 @@ double CompiledPlan::EvalBoxNode(int32_t id, const Query& query,
       if (stats != nullptr) stats->entries_visited += n.end - n.begin;
       double sum = 0.0;
       for (uint32_t j = n.begin; j < n.end; ++j) {
-        sum += BoxBucketTerm(query, box_entries_[j], box_weight_[j],
-                             box_inv_vol_[j], volume_);
+        const double inter =
+            QueryBoxIntersectionVolume(query, box_entries_[j], volume_);
+        sum += box_weight_[j] * std::clamp(inter * box_inv_vol_[j], 0.0, 1.0);
       }
       return sum;
     }

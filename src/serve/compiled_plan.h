@@ -17,15 +17,16 @@
 //    bbox and subtree weight sum, so a query skips disjoint subtrees
 //    outright and absorbs fully-contained subtrees as one cached sum.
 //
-// Plans are built by SelectivityModel::Compile() (see core/model.h),
-// served through EstimateOne/EstimateMany, swapped wholesale by
-// OnlineEstimator without interrupting readers, and serialized by
-// model_io under the "plan" registry kind. The layer depends only on geometry/common — estimators depend on
-// it, never the reverse.
+// Plans are built by SelectivityModel::Compile() (see core/model.h) as
+// the last step of Train, so a lowerable model's plan IS its prediction
+// form. They are served through EstimateOne/EstimateMany, swapped
+// wholesale by OnlineEstimator without interrupting readers, and
+// serialized by model_io under the "plan" registry kind. The layer
+// depends only on geometry/common — estimators depend on it, never the
+// reverse.
 #ifndef SEL_SERVE_COMPILED_PLAN_H_
 #define SEL_SERVE_COMPILED_PLAN_H_
 
-#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -37,17 +38,6 @@
 #include "geometry/volume.h"
 
 namespace sel {
-
-/// True iff automatic plan serving is on (the default). The SEL_SERVE_PLAN
-/// environment knob — parsed on first use — is the escape hatch:
-/// SEL_SERVE_PLAN=0 pins every batch path back to the virtual
-/// Estimate(Query) so a plan-lowering bug can be ruled out in production
-/// without a rebuild. Explicitly constructed plans (PlanModel, selcli
-/// compile) are not gated: the knob controls auto-lowering, not the IR.
-bool ServePlanEnabled();
-
-/// Programmatic override of the SEL_SERVE_PLAN knob (tests, selcli).
-void SetServePlanEnabled(bool enabled);
 
 /// Pruning accounting for one evaluation (or an aggregated batch):
 /// `entries_visited` counts the buckets actually scanned in leaves;
@@ -65,22 +55,6 @@ struct PlanEvalStats {
                            static_cast<double>(entries_total);
   }
 };
-
-/// Shared per-bucket arithmetic of Eq. (6) with a precomputed inverse
-/// volume: weight * clamp(vol(B∩R) * inv_vol, 0, 1). An `inv_vol` of 0 is
-/// the degenerate-bucket sentinel (zero-volume box): the fraction
-/// degenerates to center containment, matching QueryBoxFraction. Kept
-/// inline and used by both the legacy EstimateFromBoxBuckets path and
-/// the plan kernels so the two are arithmetically identical per bucket.
-inline double BoxBucketTerm(const Query& query, const Box& box,
-                            double weight, double inv_vol,
-                            const VolumeOptions& opts) {
-  if (inv_vol <= 0.0) {
-    return query.Contains(box.Center()) ? weight : 0.0;
-  }
-  const double inter = QueryBoxIntersectionVolume(query, box, opts);
-  return weight * std::clamp(inter * inv_vol, 0.0, 1.0);
-}
 
 /// The immutable serving plan. Thread-safe for concurrent EstimateOne /
 /// EstimateMany calls (all state is written at construction).
@@ -177,8 +151,7 @@ class CompiledPlan {
 
   // Box segment: entry-major SoA (serialization order) plus
   // materialized Box objects (same order) for the non-box query
-  // kernels, which reuse the exact QueryBoxIntersectionVolume
-  // arithmetic of the virtual path.
+  // kernels, which evaluate QueryBoxIntersectionVolume per entry.
   std::vector<double> box_lo_;
   std::vector<double> box_hi_;
   std::vector<double> box_weight_;

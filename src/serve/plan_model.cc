@@ -2,22 +2,18 @@
 
 #include <utility>
 
-#include "common/check.h"
 #include "core/estimator_registry.h"
 #include "core/model_io.h"
 
 namespace sel {
 
-PlanModel::PlanModel(CompiledPlan plan)
-    : plan_(std::make_shared<const CompiledPlan>(std::move(plan))) {}
+PlanModel::PlanModel(CompiledPlan plan) {
+  plan_ = std::make_shared<const CompiledPlan>(std::move(plan));
+}
 
 Status PlanModel::Train(const Workload&) {
   return Status::FailedPrecondition(
       "CompiledPlan is immutable; recompile from a trained estimator");
-}
-
-double PlanModel::Estimate(const Query& query) const {
-  return plan_->EstimateOne(query);
 }
 
 namespace {
@@ -43,7 +39,7 @@ Status SavePlanModel(const SelectivityModel& model, std::ostream& out) {
   if (pm == nullptr) {
     return Status::InvalidArgument("save hook: model is not a PlanModel");
   }
-  return WritePlanModel(out, *pm->plan());
+  return WritePlanModel(out, *pm->shared_plan());
 }
 
 }  // namespace

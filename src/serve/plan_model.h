@@ -3,10 +3,9 @@
 // and serves without any training-time structure in memory. This is the
 // one serve/ file that sits above core/ (it IS an estimator); the IR in
 // compiled_plan.h keeps the clean geometry/common-only layering.
-#ifndef SEL_SERVE_PLAN_MODEL_H_
-#define SEL_SERVE_PLAN_MODEL_H_
+#ifndef SEL_PLAN_MODEL_H_
+#define SEL_PLAN_MODEL_H_
 
-#include <memory>
 #include <string>
 
 #include "core/model.h"
@@ -25,21 +24,14 @@ class PlanModel : public SelectivityModel {
   /// trained estimator. Always fails.
   Status Train(const Workload& workload) override;
 
-  double Estimate(const Query& query) const override;
   size_t NumBuckets() const override { return plan_->size(); }
   std::string Name() const override { return "CompiledPlan"; }
   std::string RegistryName() const override { return "plan"; }
 
   /// Already compiled: returns a copy of the wrapped plan.
   Result<CompiledPlan> Compile() const override { return *plan_; }
-
-  /// The wrapped plan (shared, immutable).
-  std::shared_ptr<const CompiledPlan> plan() const { return plan_; }
-
- private:
-  std::shared_ptr<const CompiledPlan> plan_;
 };
 
 }  // namespace sel
 
-#endif  // SEL_SERVE_PLAN_MODEL_H_
+#endif  // SEL_PLAN_MODEL_H_

@@ -43,7 +43,9 @@ struct Fixture {
 TEST(StaticModelTest, HistogramEstimatesViaEq6) {
   std::vector<Box> buckets = {Box({0.0, 0.0}, {0.5, 1.0}),
                               Box({0.5, 0.0}, {1.0, 1.0})};
-  StaticHistogram m(buckets, {0.8, 0.2});
+  auto built = StaticHistogram::Create(buckets, {0.8, 0.2});
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  const SelectivityModel& m = *built.value();
   EXPECT_NEAR(m.Estimate(Box({0.0, 0.0}, {0.5, 1.0})), 0.8, 1e-12);
   EXPECT_NEAR(m.Estimate(Box({0.0, 0.0}, {0.25, 1.0})), 0.4, 1e-12);
   EXPECT_NEAR(m.Estimate(Box::Unit(2)), 1.0, 1e-12);
@@ -51,17 +53,22 @@ TEST(StaticModelTest, HistogramEstimatesViaEq6) {
 }
 
 TEST(StaticModelTest, PointModelEstimatesViaEq7) {
-  StaticPointModel m({{0.25, 0.25}, {0.75, 0.75}}, {0.3, 0.7});
+  auto built = StaticPointModel::Create({{0.25, 0.25}, {0.75, 0.75}},
+                                       {0.3, 0.7});
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  const SelectivityModel& m = *built.value();
   EXPECT_DOUBLE_EQ(m.Estimate(Box({0.0, 0.0}, {0.5, 0.5})), 0.3);
   EXPECT_DOUBLE_EQ(m.Estimate(Box({0.5, 0.5}, {1.0, 1.0})), 0.7);
   EXPECT_DOUBLE_EQ(m.Estimate(Box::Unit(2)), 1.0);
 }
 
 TEST(StaticModelTest, TrainIsRejected) {
-  StaticHistogram h({Box::Unit(2)}, {1.0});
-  EXPECT_EQ(h.Train({}).code(), StatusCode::kFailedPrecondition);
-  StaticPointModel p({{0.5, 0.5}}, {1.0});
-  EXPECT_EQ(p.Train({}).code(), StatusCode::kFailedPrecondition);
+  auto h = StaticHistogram::Create({Box::Unit(2)}, {1.0});
+  ASSERT_TRUE(h.ok());
+  EXPECT_EQ(h.value()->Train({}).code(), StatusCode::kFailedPrecondition);
+  auto p = StaticPointModel::Create({{0.5, 0.5}}, {1.0});
+  ASSERT_TRUE(p.ok());
+  EXPECT_EQ(p.value()->Train({}).code(), StatusCode::kFailedPrecondition);
 }
 
 TEST(ModelIoTest, QuadHistRoundTripIdenticalEstimates) {
@@ -147,16 +154,23 @@ TEST(ModelIoTest, RegistrySaveLoadBitIdenticalEstimates) {
     auto reloaded = LoadModel(path2);
     ASSERT_TRUE(reloaded.ok()) << name << ": "
                                << reloaded.status().ToString();
+    // Bucket-form models load as plans over the same bucket multiset,
+    // and a plan's summation order is canonical over that multiset, so
+    // the loaded model answers bit-identically to the original. The
+    // GMM reloads through FromParameters and matches to 1e-12.
+    const bool plan_form = name != "gmm";
     for (const auto& z : probe) {
       EXPECT_EQ(loaded.value()->Estimate(z.query),
                 reloaded.value()->Estimate(z.query))
           << name;
-      // Against the original model only to float accumulation order:
-      // e.g. QuadHist sums its leaves tree-wise, the loaded histogram
-      // linearly.
-      EXPECT_NEAR(loaded.value()->Estimate(z.query),
-                  model.Estimate(z.query), 1e-12)
-          << name;
+      if (plan_form) {
+        EXPECT_EQ(loaded.value()->Estimate(z.query), model.Estimate(z.query))
+            << name;
+      } else {
+        EXPECT_NEAR(loaded.value()->Estimate(z.query),
+                    model.Estimate(z.query), 1e-12)
+            << name;
+      }
     }
     std::filesystem::remove(path);
     std::filesystem::remove(path2);
@@ -254,6 +268,45 @@ TEST(ModelIoTest, RejectsNonFiniteValuesAsIOError) {
                            "box 0 0\n"),
             StatusCode::kIOError);
   std::filesystem::remove(path);
+}
+
+// Files whose records parse but whose model does not lower are refused
+// at load instead of served: a positive box volume below 1/DBL_MAX has
+// an infinite inverse volume (0·inf made such a model answer NaN), one
+// above DBL_MAX overflows to an infinite volume, and all-zero weights
+// leave no mass to serve.
+TEST(ModelIoTest, RejectsUnlowerableModelsAsIOError) {
+  const std::string path = TempPath("sel_unlowerable.model");
+  auto write_and_code = [&path](const std::string& body) {
+    std::ofstream out(path);
+    out << body;
+    out.close();
+    return LoadModel(path).status().code();
+  };
+  EXPECT_EQ(write_and_code("selmodel 1 static 2 2\n"
+                           "box 0 0 1e-160 1e-160 0.5\n"
+                           "box 0.5 0.5 1 1 0.5\n"),
+            StatusCode::kIOError);
+  EXPECT_EQ(write_and_code("selmodel 1 static 2 1\n"
+                           "box -1e300 -1e300 1e300 1e300 1\n"),
+            StatusCode::kIOError);
+  EXPECT_EQ(write_and_code("selmodel 1 static 2 2\n"
+                           "box 0 0 0.5 1 0\n"
+                           "box 0.5 0 1 1 0\n"),
+            StatusCode::kIOError);
+  EXPECT_EQ(write_and_code("selmodel 1 staticpoints 2 1\n"
+                           "point 0.5 0.5 0\n"),
+            StatusCode::kIOError);
+  std::filesystem::remove(path);
+  // The factories behind the loader report the same inputs as
+  // InvalidArgument.
+  EXPECT_EQ(StaticHistogram::Create({Box({0.0, 0.0}, {1e-160, 1e-160})},
+                                    {1.0})
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(StaticPointModel::Create({{0.5, 0.5}}, {0.0}).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(ModelIoTest, RejectsInvalidSaves) {

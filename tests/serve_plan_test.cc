@@ -1,9 +1,10 @@
-// Plan-equivalence suite for the serving layer (DESIGN.md §11): every
-// lowerable estimator's CompiledPlan must reproduce the virtual
-// Estimate path within 1e-12 across query shapes, seeds, and thread
-// counts; plans must survive the model_io round-trip bit-identically;
-// and OnlineEstimator's plan hand-off must keep serving during a
-// retrain (the TSAN lane checks the hand-off is race-free).
+// Plan-correctness suite for the serving layer (DESIGN.md §11): every
+// lowerable estimator's CompiledPlan — which is its Estimate — must
+// reproduce the brute-force Eq. (6)/(7) oracle (bucket_sum_oracle.h)
+// within 1e-12 across query shapes, seeds, and thread counts; plans
+// must survive the model_io round-trip bit-identically; and
+// OnlineEstimator's plan hand-off must keep serving during a retrain
+// (the TSAN lane checks the hand-off is race-free).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,6 +15,7 @@
 #include <sstream>
 #include <thread>
 
+#include "bucket_sum_oracle.h"
 #include "sel/sel.h"
 
 namespace sel {
@@ -75,24 +77,66 @@ struct Fixture {
   CountingKdTree index;
 };
 
-// Every lowerable estimator, every query shape its virtual path serves,
-// two training seeds: |plan - virtual| <= 1e-12 per query, and the
-// batch kernel agrees with EstimateOne bit for bit at 1 and 8 threads.
+const std::vector<QueryType> kAllShapes = {
+    QueryType::kBox, QueryType::kHalfspace, QueryType::kBall,
+    QueryType::kSemiAlgebraic};
+
+// Checks one trained model: its plan against the brute-force oracle
+// (<= 1e-12 per query), Estimate against the plan bit for bit, and the
+// batch kernel against EstimateOne bit for bit at 1 and 8 threads.
+void ExpectPlanMatchesOracle(const Fixture& f, const SelectivityModel& model,
+                             const std::vector<QueryType>& shapes,
+                             uint64_t seed) {
+  const std::string name = model.RegistryName();
+  const std::shared_ptr<const CompiledPlan> plan = model.shared_plan();
+  ASSERT_NE(plan, nullptr) << name << ": Train did not lower";
+  EXPECT_EQ(plan->dim(), 2) << name;
+  EXPECT_EQ(plan->source(), name);
+  EXPECT_GT(plan->size(), 0u) << name;
+  const BucketSumOracle oracle(model);
+
+  for (QueryType shape : shapes) {
+    const std::vector<Query> probes = f.MakeProbes(shape, 25, seed + 17);
+    std::vector<double> one(probes.size());
+    for (size_t i = 0; i < probes.size(); ++i) {
+      one[i] = plan->EstimateOne(probes[i]);
+      EXPECT_NEAR(one[i], oracle.Estimate(probes[i]), 1e-12)
+          << name << " seed=" << seed << " shape " << QueryTypeName(shape)
+          << " query " << i;
+      EXPECT_EQ(model.Estimate(probes[i]), one[i]) << name << " query " << i;
+      EXPECT_GE(one[i], 0.0);
+      EXPECT_LE(one[i], 1.0);
+    }
+    // The batch kernel is the same arithmetic, any thread count.
+    for (int threads : {1, 8}) {
+      ThreadPool pool(threads);
+      ScopedPoolOverride scope(&pool);
+      const std::vector<double> many = plan->EstimateMany(probes);
+      ASSERT_EQ(many.size(), one.size());
+      for (size_t i = 0; i < many.size(); ++i) {
+        EXPECT_EQ(many[i], one[i])
+            << name << " shape " << QueryTypeName(shape)
+            << " threads=" << threads << " query " << i;
+      }
+    }
+  }
+}
+
+// Every lowerable registry estimator, every query shape it serves, two
+// training seeds: the plan matches the oracle, and the virtual Estimate
+// call answers exactly the plan's value.
 TEST(ServePlanTest, PlanMatchesVirtualPathEverywhere) {
   Fixture f;
   struct Case {
     const char* name;
     std::vector<QueryType> shapes;
   };
-  // ISOMER's and QuickSel's paper scope is orthogonal ranges; the
-  // learners serve every shape in the library.
+  // ISOMER's and QuickSel's paper scope is orthogonal ranges (and the
+  // ISOMER oracle is the box-only STHoles sum); the learners serve
+  // every shape in the library.
   const std::vector<Case> cases = {
-      {"quadhist",
-       {QueryType::kBox, QueryType::kHalfspace, QueryType::kBall,
-        QueryType::kSemiAlgebraic}},
-      {"ptshist",
-       {QueryType::kBox, QueryType::kHalfspace, QueryType::kBall,
-        QueryType::kSemiAlgebraic}},
+      {"quadhist", kAllShapes},
+      {"ptshist", kAllShapes},
       {"quicksel", {QueryType::kBox}},
       {"isomer", {QueryType::kBox}},
   };
@@ -102,71 +146,48 @@ TEST(ServePlanTest, PlanMatchesVirtualPathEverywhere) {
       auto built = EstimatorRegistry::Build(c.name, 2, train.size());
       ASSERT_TRUE(built.ok()) << c.name << ": "
                               << built.status().ToString();
-      SelectivityModel& model = *built.value();
-      ASSERT_TRUE(model.Train(train).ok()) << c.name;
-      auto plan = model.Compile();
-      ASSERT_TRUE(plan.ok()) << c.name << ": " << plan.status().ToString();
-      EXPECT_EQ(plan.value().dim(), 2) << c.name;
-      EXPECT_EQ(plan.value().source(), c.name);
-      EXPECT_GT(plan.value().size(), 0u) << c.name;
-
-      for (QueryType shape : c.shapes) {
-        const std::vector<Query> probes =
-            f.MakeProbes(shape, 25, seed + 17);
-        std::vector<double> one(probes.size());
-        for (size_t i = 0; i < probes.size(); ++i) {
-          one[i] = plan.value().EstimateOne(probes[i]);
-          const double virt = model.Estimate(probes[i]);
-          EXPECT_NEAR(one[i], virt, 1e-12)
-              << c.name << " seed=" << seed << " shape "
-              << QueryTypeName(shape) << " query " << i;
-          EXPECT_GE(one[i], 0.0);
-          EXPECT_LE(one[i], 1.0);
-        }
-        // The batch kernel is the same arithmetic, any thread count.
-        for (int threads : {1, 8}) {
-          ThreadPool pool(threads);
-          ScopedPoolOverride scope(&pool);
-          const std::vector<double> many =
-              plan.value().EstimateMany(probes);
-          ASSERT_EQ(many.size(), one.size());
-          for (size_t i = 0; i < many.size(); ++i) {
-            EXPECT_EQ(many[i], one[i])
-                << c.name << " shape " << QueryTypeName(shape)
-                << " threads=" << threads << " query " << i;
-          }
-        }
-      }
+      ASSERT_TRUE(built.value()->Train(train).ok()) << c.name;
+      ExpectPlanMatchesOracle(f, *built.value(), c.shapes, seed);
     }
   }
 }
 
-// The always-fitted static forms lower directly.
-TEST(ServePlanTest, StaticFormsLower) {
-  StaticHistogram h({Box({0.0, 0.0}, {0.5, 1.0}), Box({0.5, 0.0}, {1.0, 1.0})},
-                    {0.8, 0.2});
-  auto hp = h.Compile();
-  ASSERT_TRUE(hp.ok()) << hp.status().ToString();
-  StaticPointModel p({{0.25, 0.25}, {0.75, 0.75}}, {0.3, 0.7});
-  auto pp = p.Compile();
-  ASSERT_TRUE(pp.ok()) << pp.status().ToString();
-  for (const Query& q :
-       {Query(Box({0.0, 0.0}, {0.5, 1.0})), Query(Box({0.1, 0.2}, {0.9, 0.7})),
-        Query(Box::Unit(2))}) {
-    EXPECT_NEAR(hp.value().EstimateOne(q), h.Estimate(q), 1e-12);
-    EXPECT_NEAR(pp.value().EstimateOne(q), p.Estimate(q), 1e-12);
+// The arrangement learner lowers its cells (histogram mode) or their
+// centers (discrete mode).
+TEST(ServePlanTest, ArrangementPlanMatchesBruteForceOracle) {
+  Fixture f;
+  for (auto mode : {ArrangementOptions::Mode::kHistogram,
+                    ArrangementOptions::Mode::kDiscrete}) {
+    for (uint64_t seed : {903u, 904u}) {
+      ArrangementOptions o;
+      o.mode = mode;
+      ArrangementLearner model(2, o);
+      ASSERT_TRUE(model.Train(f.MakeTrain(20, seed)).ok());
+      ExpectPlanMatchesOracle(f, model, kAllShapes, seed);
+    }
   }
 }
 
+// The always-fitted static forms lower at construction.
+TEST(ServePlanTest, StaticFormsLower) {
+  Fixture f;
+  auto h = StaticHistogram::Create(
+      {Box({0.0, 0.0}, {0.5, 1.0}), Box({0.5, 0.0}, {1.0, 1.0})}, {0.8, 0.2});
+  ASSERT_TRUE(h.ok()) << h.status().ToString();
+  ExpectPlanMatchesOracle(f, *h.value(), kAllShapes, 905);
+  auto p = StaticPointModel::Create({{0.25, 0.25}, {0.75, 0.75}}, {0.3, 0.7});
+  ASSERT_TRUE(p.ok()) << p.status().ToString();
+  ExpectPlanMatchesOracle(f, *p.value(), kAllShapes, 906);
+}
+
 // GMM and AVI have no flat bucket form; Compile says so instead of
-// silently mis-lowering.
+// silently mis-lowering. A lowerable model has a plan exactly once it
+// is trained.
 TEST(ServePlanTest, NonLowerableEstimatorsReportUnimplemented) {
   GmmModel gmm(2, GmmOptions{});
   EXPECT_EQ(gmm.Compile().status().code(), StatusCode::kUnimplemented);
   AviHistogram avi(2, AviOptions{});
   EXPECT_EQ(avi.Compile().status().code(), StatusCode::kUnimplemented);
-  // Untrained lowerable models fail with FailedPrecondition, and the
-  // failure is NOT cached: training afterwards makes Compile succeed.
   QuadHist qh(2, QuadHistOptions{});
   EXPECT_EQ(qh.Compile().status().code(), StatusCode::kFailedPrecondition);
   EXPECT_EQ(qh.shared_plan(), nullptr);
@@ -264,31 +285,14 @@ TEST(ServePlanTest, PruningStatsShowSkippedEntries) {
   EXPECT_LE(batch.entries_visited, batch.entries_total);
 }
 
-// SEL_SERVE_PLAN / SetServePlanEnabled gates the automatic serving path
-// (shared_plan), never the explicit Compile.
-TEST(ServePlanTest, ServePlanKnobGatesSharedPlanOnly) {
-  Fixture f;
-  QuadHist model(2, QuadHistOptions{});
-  ASSERT_TRUE(model.Train(f.MakeTrain(40, 909)).ok());
-  SetServePlanEnabled(false);
-  EXPECT_EQ(model.shared_plan(), nullptr);
-  EXPECT_TRUE(model.Compile().ok()) << "knob must not gate Compile()";
-  SetServePlanEnabled(true);
-  const auto plan = model.shared_plan();
-  ASSERT_NE(plan, nullptr);
-  // The cache hands out the same plan every time.
-  EXPECT_EQ(model.shared_plan().get(), plan.get());
-}
-
 // Malformed queries (non-finite parameters; every ctor-constructible
 // degenerate form) must not poison the serving arithmetic: the plan
-// path answers the empty-range 0 and the checked virtual path rejects
+// path answers the empty-range 0 and the checked TryEstimate rejects
 // with InvalidArgument, both counted under serve.invalid_query_total.
 TEST(ServePlanTest, MalformedQueriesAreRejectedNotPoisonous) {
   Fixture f;
   QuadHist model(2, QuadHistOptions{});
   ASSERT_TRUE(model.Train(f.MakeTrain(40, 911)).ok());
-  SetServePlanEnabled(true);
   const auto plan = model.shared_plan();
   ASSERT_NE(plan, nullptr);
 
@@ -306,7 +310,7 @@ TEST(ServePlanTest, MalformedQueriesAreRejectedNotPoisonous) {
     EXPECT_FALSE(QueryIsValid(bad[i])) << "query " << i;
     // Plan path: sanitized to the empty-range answer, never NaN.
     EXPECT_EQ(plan->EstimateOne(bad[i]), 0.0) << "query " << i;
-    // Checked virtual path: an explicit rejection the caller can see.
+    // Checked path: an explicit rejection the caller can see.
     auto checked = model.TryEstimate(bad[i]);
     ASSERT_FALSE(checked.ok()) << "query " << i;
     EXPECT_EQ(checked.status().code(), StatusCode::kInvalidArgument)
@@ -318,7 +322,7 @@ TEST(ServePlanTest, MalformedQueriesAreRejectedNotPoisonous) {
     EXPECT_EQ(many[i], 0.0) << "query " << i;
   }
 
-  // Well-formed queries flow through both paths unchanged.
+  // Well-formed queries flow through the checked path unchanged.
   const Query good = Box({0.2, 0.2}, {0.7, 0.7});
   ASSERT_TRUE(QueryIsValid(good));
   auto checked = model.TryEstimate(good);
@@ -331,7 +335,6 @@ TEST(ServePlanTest, MalformedQueriesAreRejectedNotPoisonous) {
 // valid and the hand-off lands a fresh plan. The TSAN lane turns any
 // torn or unsynchronized hand-off into a hard failure.
 TEST(ServePlanTest, OnlineServingUninterruptedAcrossRetrain) {
-  SetServePlanEnabled(true);
   Fixture f;
   OnlineOptions opts;
   opts.retrain_interval = 25;
@@ -377,8 +380,7 @@ TEST(ServePlanTest, OnlineServingUninterruptedAcrossRetrain) {
   EXPECT_GT(reads.load(), 0u);
   EXPECT_GE(est.retrain_count(), 5u);
   EXPECT_TRUE(est.trained());
-  // quadhist lowers, so the swapped-in state carries a plan (the knob
-  // defaults to on; earlier tests restore it).
+  // quadhist lowers, so the swapped-in state carries a plan.
   EXPECT_NE(est.serving_plan(), nullptr);
 }
 

@@ -5,9 +5,9 @@
 // (scalar, sse2, avx2 — whichever the host supports), because every
 // variant implements the same fixed lane-striped blocked reduction and
 // the same per-element operation sequence. Against a naive sequential
-// reference the blocked order may differ, which is what the library's
-// plan-vs-virtual 1e-12 tolerance absorbs; reductions are checked
-// against that reference at 1e-12 as well.
+// reference the blocked order may differ, which is what the plan-vs-
+// oracle 1e-12 tolerance absorbs; reductions are checked against that
+// reference at 1e-12 as well.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -382,8 +382,7 @@ TEST(SimdKernelTest, CompiledPlanIdenticalAcrossLevels) {
       const Query q(Box(qlo, qhi));
       double ref = 0.0;
       for (size_t j = 0; j < n; ++j) {
-        ref += BoxBucketTerm(q, buckets[j], weights[j],
-                             1.0 / buckets[j].Volume(), VolumeOptions{});
+        ref += weights[j] * QueryBoxFraction(q, buckets[j], VolumeOptions{});
       }
 
       double base = 0.0;

@@ -1,15 +1,12 @@
 #!/usr/bin/env bash
-# CI guard: the compiled serving path must actually pay off.
+# CI guard: the compiled serving plan must actually pay off.
 #
 # Runs bench_prediction_time several times (the binary itself alternates
-# virtual/plan rounds in-process and reports a per-path min), keeps the
+# oracle/plan rounds in-process and reports a per-arm min), keeps the
 # per-(model,buckets,path) minimum across runs — the min is the standard
 # noise-robust statistic for "how fast can this go" — and fails unless
-# the aggregate plan-path time beats the virtual path by at least the
-# floor (default 1.5x). Aggregate, not per-cell: QuadHist's virtual path
-# already tree-prunes, so its margin is structurally thinner than the
-# flat models'; the guard protects the overall serving win without
-# flaking on the one near-parity cell.
+# the plan beats the brute-force Eq. (6)/(7) oracle (a flat scan over
+# every bucket) by at least the floor (default 1.5x) in EVERY cell.
 #
 #   usage: check_serve_speedup.sh <path-to-bench_prediction_time>
 #
@@ -56,7 +53,7 @@ for path in sorted(glob.glob(workdir + "/round.*.csv")):
         for row in csv.DictReader(f):
             # The bench also reports a forced-scalar simd axis (guarded
             # separately by check_simd_speedup.sh); this guard compares
-            # the serving paths under the production dispatch.
+            # the arms under the production dispatch.
             if row.get("simd", "auto") != "auto":
                 continue
             key = (row["model"], row["buckets"], row["path"])
@@ -69,26 +66,23 @@ if not cells:
     print("FAIL: no benchmark rows parsed", file=sys.stderr)
     sys.exit(1)
 
-virt_sum = plan_sum = 0.0
+slow = []
 for m, b in cells:
-    tv = best.get((m, b, "virtual"))
+    to = best.get((m, b, "oracle"))
     tp = best.get((m, b, "plan"))
-    if tv is None or tp is None:
-        print(f"FAIL: {m} buckets={b} missing a serving path",
-              file=sys.stderr)
+    if to is None or tp is None:
+        print(f"FAIL: {m} buckets={b} missing an arm", file=sys.stderr)
         sys.exit(1)
-    ratio = tv / tp if tp > 0 else float("inf")
-    print(f"{m} buckets={b}: virtual={tv:.3f}us plan={tp:.3f}us "
+    ratio = to / tp if tp > 0 else float("inf")
+    print(f"{m} buckets={b}: oracle={to:.3f}us plan={tp:.3f}us "
           f"speedup={ratio:.2f}x")
-    virt_sum += tv
-    plan_sum += tp
+    if ratio < floor:
+        slow.append(f"{m} buckets={b} ({ratio:.2f}x)")
 
-agg = virt_sum / plan_sum if plan_sum > 0 else float("inf")
-print(f"aggregate: virtual={virt_sum:.3f}us plan={plan_sum:.3f}us "
-      f"speedup={agg:.2f}x (floor {floor:.2f}x)")
-if agg < floor:
-    print(f"FAIL: aggregate plan speedup {agg:.2f}x is below the "
-          f"{floor:.2f}x floor", file=sys.stderr)
+if slow:
+    print(f"FAIL: plan speedup below the {floor:.2f}x floor in: "
+          + ", ".join(slow), file=sys.stderr)
     sys.exit(1)
-print(f"compiled plan serving is {agg:.2f}x faster than virtual dispatch")
+print(f"compiled plans beat the brute-force oracle by >= {floor:.2f}x "
+      f"in all {len(cells)} cells")
 EOF

@@ -251,7 +251,7 @@ int Compile(int argc, char** argv) {
   PlanModel compiled(std::move(plan).value());
   const Status save = SaveModel(compiled, argv[1]);
   if (!save.ok()) return Fail(save);
-  const CompiledPlan& p = *compiled.plan();
+  const CompiledPlan& p = *compiled.shared_plan();
   std::printf("compiled %s -> plan: %zu entries (%zu box, %zu point), "
               "dim %d\nplan written to %s\n",
               model.value()->Name().c_str(), p.size(), p.num_box_entries(),
